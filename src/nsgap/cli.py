@@ -16,7 +16,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -31,12 +30,14 @@ SUBCOMMANDS = (
     "suite",
 )
 
+# GapEstimate.kind -> provenance tag, from the strongest to the weakest
+_GAP_PROVENANCE = {"exact_hilbert": "exact", "brute_force": "brute_force",
+                   "heuristic_lower_bound": "heuristic"}
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("NSGAP_THREADS", "1")))
-    except ValueError:
-        return 1
+
+def _gap_provenance(*kinds: str) -> str:
+    """Tag of a result resting on gap estimates: the weakest of their tags."""
+    return _GAP_PROVENANCE[max(kinds, key=list(_GAP_PROVENANCE).index)]
 
 
 def _load_json(path: str):
@@ -223,17 +224,14 @@ def _cmd_gap(args) -> dict:
             method = "heuristic"
     if method == "exact":
         est = rayleigh.gamma_hilbert_exact(chain)
-        provenance = "exact"
     elif method == "brute":
         est = rayleigh.gamma_bruteforce(chain, space, args.p)
-        provenance = "brute_force"
     else:
         est = rayleigh.gamma_heuristic(chain, space, args.p,
                                        restarts=args.restarts, iters=args.iters,
                                        seed=args.seed)
-        provenance = "heuristic"
     out = est.to_json()
-    out["provenance"] = provenance
+    out["provenance"] = _gap_provenance(est.kind)
     return out
 
 
@@ -242,7 +240,7 @@ def _cmd_gap_plus(args) -> dict:
     space = space_from_json(_load_json(args.space))
     est = rayleigh.gamma_plus_bruteforce(chain, space, args.q)
     out = est.to_json()
-    out["provenance"] = "brute_force"
+    out["provenance"] = _gap_provenance(est.kind)
     return out
 
 
@@ -278,7 +276,7 @@ def _cmd_extrapolate(args) -> dict:
     chain = _chain_from_arg(args.chain)
     space = space_from_json(_load_json(args.space))
     out = mazur.extrapolation_check(chain, space, args.p, args.q)
-    out["provenance"] = {"brute_force": "brute_force"}.get(out["kind_p"], out["kind_p"])
+    out["provenance"] = _gap_provenance(out["kind_p"], out["kind_q"])
     return out
 
 
@@ -400,7 +398,7 @@ def _cmd_calibrate(args) -> dict:
 def _cmd_suite(args) -> dict:
     if args.name != "acceptance":
         raise ValidationError(f"unknown suite {args.name!r}")
-    report = suite.run_acceptance(args.seed, threads=_threads())
+    report = suite.run_acceptance(args.seed)
     report["provenance"] = "exact"
     return report
 

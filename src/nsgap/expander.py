@@ -10,19 +10,21 @@ explicit calibration constants, natural logarithms throughout.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import (
     Disconnected,
     NotReversibleChain,
     ParityViolation,
     ResampleBudgetExceeded,
+    UnsupportedSpace,
     ValidationError,
 )
-from .markov import StochasticChain, build_reversible_chain, spectral_data
+from .markov import SPECTRAL_N_CAP, StochasticChain, build_reversible_chain, spectral_data
 from .rayleigh import gamma_heuristic, gamma_hilbert_exact
 from .spaces import MetricSpace
 
@@ -37,34 +39,28 @@ class RegularGraph:
     edges: tuple  # tuple of (u, v) pairs, u < v
     connected: bool
 
-    def neighbors(self) -> list:
-        adj = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
+    def adjacency(self) -> csr_matrix:
+        """Sparse symmetric adjacency of the edge list; every graph search
+        and the dense walk matrix are built from it."""
+        u, v = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
+        rows = np.concatenate([u, v])
+        cols = np.concatenate([v, u])
+        return csr_matrix((np.ones(rows.size), (rows, cols)), shape=(self.n, self.n))
 
     def adjacency_matrix(self) -> np.ndarray:
-        A = np.zeros((self.n, self.n))
-        for u, v in self.edges:
-            A[u, v] = 1.0
-            A[v, u] = 1.0
-        return A
+        return self.adjacency().toarray()
 
 
-def _is_connected(n: int, adj: list) -> bool:
-    seen = np.zeros(n, dtype=bool)
-    queue = deque([0])
-    seen[0] = True
-    found = 1
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                found += 1
-                queue.append(v)
-    return found == n
+def _check_spectral_size(g: RegularGraph) -> None:
+    """Reject graphs whose dense n x n arrays the spectral cap forbids,
+    before any of them is allocated."""
+    if g.n > SPECTRAL_N_CAP:
+        raise UnsupportedSpace(f"dense graph ops capped at n = {SPECTRAL_N_CAP}")
+
+
+def _is_connected(g: RegularGraph) -> bool:
+    return connected_components(g.adjacency(), directed=False,
+                                 return_labels=False) == 1
 
 
 def random_regular_graph(n: int, d: int, seed: int) -> RegularGraph:
@@ -91,8 +87,7 @@ def random_regular_graph(n: int, d: int, seed: int) -> RegularGraph:
         if np.unique(keys).size != keys.size:
             continue
         edges = tuple(sorted(zip(lo.tolist(), hi.tolist())))
-        g = RegularGraph(n=n, d=d, edges=edges, connected=False)
-        if _is_connected(n, g.neighbors()):
+        if _is_connected(RegularGraph(n=n, d=d, edges=edges, connected=False)):
             return RegularGraph(n=n, d=d, edges=edges, connected=True)
     raise ResampleBudgetExceeded(
         f"no simple connected sample in {RESAMPLE_BUDGET} attempts"
@@ -101,36 +96,29 @@ def random_regular_graph(n: int, d: int, seed: int) -> RegularGraph:
 
 def graph_chain(g: RegularGraph) -> StochasticChain:
     """Normalized adjacency walk with uniform stationary distribution."""
+    _check_spectral_size(g)
     A = g.adjacency_matrix() / g.d
     pi = np.full(g.n, 1.0 / g.n)
     return build_reversible_chain(A, pi)
 
 
 def bfs_distances(g: RegularGraph, source: int) -> np.ndarray:
-    adj = g.neighbors()
-    dist = np.full(g.n, np.iinfo(np.uint16).max, dtype=np.uint16)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if dist[v] == np.iinfo(np.uint16).max:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
+    """Hop counts from `source`; the uint16 maximum marks unreachable vertices."""
+    dist = shortest_path(g.adjacency(), unweighted=True, indices=source)
+    unreachable = np.iinfo(np.uint16).max
+    return np.where(np.isinf(dist), unreachable, dist).astype(np.uint16)
 
 
 def distance_spread_check(g: RegularGraph) -> dict:
     """From every vertex, at least n/2 vertices should sit at graph distance
     at least floor(log_d(n/2)); reports the worst count over sources."""
-    if not g.connected or not _is_connected(g.n, g.neighbors()):
+    _check_spectral_size(g)
+    # every hop count is finite exactly when the graph is connected
+    dist = shortest_path(g.adjacency(), unweighted=True)
+    if not g.connected or np.isinf(dist).any():
         raise Disconnected("distance spread is defined for connected graphs")
     threshold = math.floor(math.log(g.n / 2.0) / math.log(g.d))
-    min_count = g.n
-    for u in range(g.n):
-        dist = bfs_distances(g, u)
-        count = int(np.sum(dist >= threshold))
-        min_count = min(min_count, count)
+    min_count = int(np.min(np.sum(dist >= threshold, axis=1)))
     return {"threshold": threshold, "count": min_count,
             "holds": bool(min_count >= g.n / 2.0)}
 
@@ -206,8 +194,7 @@ def graph_from_edge_text(text: str) -> RegularGraph:
     if np.unique(deg).size != 1:
         raise ValidationError("graph is not regular")
     g = RegularGraph(n=n, d=int(deg[0]), edges=tuple(sorted(edges)), connected=False)
-    return RegularGraph(n=n, d=int(deg[0]), edges=g.edges,
-                        connected=_is_connected(n, g.neighbors()))
+    return RegularGraph(n=n, d=int(deg[0]), edges=g.edges, connected=_is_connected(g))
 
 
 def graph_to_json(g: RegularGraph) -> dict:

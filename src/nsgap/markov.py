@@ -20,7 +20,6 @@ from .errors import (
     NotStochastic,
     UnsupportedSpace,
 )
-from .jacobi import jacobi_eigh
 
 ROW_SUM_TOL = 1e-9
 DETAILED_BALANCE_TOL = 1e-12
@@ -126,7 +125,8 @@ def spectral_data(chain: StochasticChain) -> SpectralData:
         raise UnsupportedSpace(f"spectral ops capped at n = {SPECTRAL_N_CAP}")
     if chain.n < 2:
         raise NotStochastic("spectral data needs at least two states")
-    eigenvalues, vectors = jacobi_eigh(symmetrization(chain))
+    ascending, vectors = np.linalg.eigh(symmetrization(chain))
+    eigenvalues, vectors = ascending[::-1], vectors[:, ::-1]
     lambda2 = float(eigenvalues[1])
     if lambda2 >= 1.0 - 1e-12:
         gamma = float("inf")

@@ -307,33 +307,17 @@ def criterion_9(seed: int) -> dict:
                         "formula_values": list(vals)}}
 
 
-def run_acceptance(seed: int, threads: int = 1) -> dict:
+def run_acceptance(seed: int) -> dict:
     """Run criteria 1 through 9 and collect a deterministic report.
 
-    Criteria are independent apart from 7 consuming the embeddings of 6, so
-    with threads > 1 they run concurrently; results are merged in criterion
-    order, keeping the report independent of scheduling.  Determinism itself
+    Criterion 7 consumes the embeddings of criterion 6.  Determinism itself
     (criterion 10) is verified by running this twice with the same seed and
     comparing serialized reports byte for byte.
     """
-
-    def run_6_and_7(s):
-        c6 = criterion_6(s)
-        embeddings = c6.pop("embeddings")
-        return [c6, criterion_7(s, embeddings)]
-
-    independent = [criterion_1, criterion_2, criterion_3, criterion_4,
-                   criterion_5, criterion_8, criterion_9]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(fn, seed) for fn in independent]
-            pair_future = pool.submit(run_6_and_7, seed)
-            results = [f.result() for f in futures] + pair_future.result()
-    else:
-        results = [fn(seed) for fn in independent] + run_6_and_7(seed)
-    results.sort(key=lambda r: r["criterion"])
+    results = [criterion_1(seed), criterion_2(seed), criterion_3(seed),
+               criterion_4(seed), criterion_5(seed), criterion_6(seed)]
+    embeddings = results[-1].pop("embeddings")
+    results += [criterion_7(seed, embeddings), criterion_8(seed), criterion_9(seed)]
     return {
         "suite": "acceptance",
         "seed": int(seed),

@@ -184,3 +184,71 @@ def test_repeat_invocations_bit_identical(tmp_path, flip_chain_file,
         "--seed", "5",
     ], name="b.json")
     assert out1.read_bytes() == out2.read_bytes()
+
+
+PROVENANCE = {"exact", "brute_force", "heuristic", "fitted"}
+
+
+def _provenances(node):
+    if isinstance(node, dict):
+        own = [node["provenance"]] if "provenance" in node else []
+        return own + [tag for value in node.values() for tag in _provenances(value)]
+    if isinstance(node, list):
+        return [tag for value in node for tag in _provenances(value)]
+    return []
+
+
+def test_every_subcommand_reports_documented_provenance(
+        tmp_path, flip_chain_file, lazy_cycle_file, hilbert_space_file):
+    def write(name, obj):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    finite = write("finite.json", space_to_json(
+        MetricSpace.finite(np.array([[0.0, 1.0], [1.0, 0.0]]))))
+    linf = write("linf.json", space_to_json(MetricSpace.lp(float("inf"), 2)))
+    f = write("f.json", {"weights": [0.5, 0.5], "values": [[1.0, 0.0], [0.0, 2.0]]})
+    g = write("g.json", {"weights": [0.5, 0.5], "values": [[0.5, 1.0], [1.0, 0.0]]})
+    metric = write("metric.json", [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1],
+                                   [1, 2, 1, 0]])
+    # (output file, argv); verify-duality reads the embed output
+    runs = [
+        ("gap-exact.json", ["gap", "--chain", lazy_cycle_file,
+                            "--space", hilbert_space_file]),
+        ("gap-brute.json", ["gap", "--chain", flip_chain_file, "--space", finite,
+                            "--p", "1"]),
+        ("gap-heuristic.json", ["gap", "--chain", lazy_cycle_file, "--space", linf,
+                                "--restarts", "2", "--iters", "20"]),
+        ("gap-plus.json", ["gap-plus", "--chain", flip_chain_file, "--space", finite]),
+        ("rayleigh.json", ["rayleigh-check", "--chain", lazy_cycle_file]),
+        ("roundtrip.json", ["mazur-check", "--function", f,
+                            "--space", hilbert_space_file, "--p", "1", "--q", "2"]),
+        ("holder.json", ["mazur-check", "--function", f, "--function-b", g,
+                         "--space", hilbert_space_file, "--p", "1", "--q", "2"]),
+        ("extrapolate-mixed.json", ["extrapolate", "--chain", lazy_cycle_file,
+                                    "--space", hilbert_space_file,
+                                    "--p", "1", "--q", "2"]),
+        ("extrapolate-finite.json", ["extrapolate", "--chain", flip_chain_file,
+                                     "--space", finite, "--p", "1", "--q", "2"]),
+        ("john.json", ["john", "--space", linf]),
+        ("emb.json", ["embed", "--metric", metric, "--theta", "0.5"]),
+        ("dual.json", ["verify-duality", "--embedding", str(tmp_path / "emb.json"),
+                       "--chain", lazy_cycle_file, "--metric", metric,
+                       "--theta", "0.5"]),
+        ("expander.json", ["expander", "--n", "16", "--d", "3"]),
+        ("bounds.json", ["bounds", "--formula", "coarse"]),
+        ("calibrate.json", ["calibrate", "--constant", "C_pq", "--family-size", "2",
+                            "--calibration-file", str(tmp_path / "cal.json")]),
+        ("suite.json", ["suite"]),
+    ]
+    assert {argv[0] for _, argv in runs} == set(cli.SUBCOMMANDS)
+    tags = {}
+    for name, argv in runs:
+        code, out = run_to_file(tmp_path, argv, name=name)
+        assert code == 0, argv
+        tags[name] = _provenances(json.loads(out.read_text())["report"])
+        assert tags[name] and set(tags[name]) <= PROVENANCE, (argv, tags[name])
+    # a heuristic p-gap next to the exact Euclidean q-gap is reported heuristic
+    assert tags["extrapolate-mixed.json"] == ["heuristic"]
+    assert tags["extrapolate-finite.json"] == ["brute_force"]

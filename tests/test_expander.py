@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from nsgap.errors import (
     Disconnected,
     NotReversibleChain,
     ParityViolation,
+    UnsupportedSpace,
     ValidationError,
 )
 
@@ -114,6 +117,55 @@ def test_distance_spread_rejects_disconnected():
 def test_bfs_distances_on_cycle():
     dist = expander.bfs_distances(four_cycle_graph(), 0)
     np.testing.assert_array_equal(dist, [0, 1, 2, 1])
+
+
+def _reference_bfs(g, source):
+    """Plain queue BFS; unreachable vertices keep the uint16 maximum."""
+    adj = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    unreachable = np.iinfo(np.uint16).max
+    dist = np.full(g.n, unreachable, dtype=np.uint16)
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if dist[v] == unreachable:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def test_graph_searches_match_reference_bfs():
+    graphs = [expander.random_regular_graph(n, d, seed)
+              for n, d, seed in ((16, 3, 0), (32, 3, 1), (30, 4, 2), (64, 3, 3))]
+    for g in graphs + [two_triangles()]:
+        rows = [_reference_bfs(g, u) for u in range(g.n)]
+        for u, row in enumerate(rows):
+            dist = expander.bfs_distances(g, u)
+            assert dist.dtype == np.uint16
+            np.testing.assert_array_equal(dist, row)
+        if not g.connected:
+            continue
+        rep = expander.distance_spread_check(g)
+        assert rep["count"] == min(int(np.sum(r >= rep["threshold"])) for r in rows)
+
+
+def test_graph_size_cap_precedes_dense_arrays():
+    """Past the spectral cap both dense paths refuse before allocating."""
+    g = expander.RegularGraph(n=100_000, d=3, edges=((0, 1),), connected=True)
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnsupportedSpace):
+            expander.graph_chain(g)
+        with pytest.raises(UnsupportedSpace):
+            expander.distance_spread_check(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_dimension_lower_bound_values():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from nsgap.errors import (
     NotReversibleChain,
     NotStochastic,
 )
-from nsgap.jacobi import jacobi_eigh
 
 
 def four_cycle():
@@ -158,15 +159,43 @@ def test_symmetrization_similarity():
     np.testing.assert_allclose(direct, via_sym, atol=1e-9)
 
 
-def test_jacobi_matches_dense_eigensolver():
-    rng = np.random.default_rng(13)
-    for n in (2, 5, 12):
-        s = rng.standard_normal((n, n))
-        s = (s + s.T) / 2.0
-        vals, vecs = jacobi_eigh(s)
-        np.testing.assert_allclose(vals, np.sort(np.linalg.eigvalsh(s))[::-1],
-                                   atol=1e-10)
-        np.testing.assert_allclose(vecs @ np.diag(vals) @ vecs.T, s, atol=1e-10)
+def _regular_walk(adj: np.ndarray) -> markov.StochasticChain:
+    return markov.build_reversible_chain(adj / adj.sum(axis=1, keepdims=True))
+
+
+def _cycle_walk(n: int) -> markov.StochasticChain:
+    adj = np.zeros((n, n))
+    idx = np.arange(n)
+    adj[idx, (idx + 1) % n] = adj[(idx + 1) % n, idx] = 1.0
+    return _regular_walk(adj)
+
+
+def _complete_walk(n: int) -> markov.StochasticChain:
+    return _regular_walk(np.ones((n, n)) - np.eye(n))
+
+
+def _hypercube_walk(d: int) -> markov.StochasticChain:
+    idx = np.arange(2**d)
+    flips = np.bitwise_xor(idx[:, None], idx[None, :])
+    return _regular_walk(((flips & (flips - 1)) == 0) & (flips != 0))
+
+
+@pytest.mark.parametrize("chain, spectrum", [
+    (_cycle_walk(8), np.cos(2.0 * np.pi * np.arange(8) / 8.0)),
+    (_complete_walk(6), [1.0] + [-1.0 / 5.0] * 5),
+    (_hypercube_walk(4), np.repeat(1.0 - 2.0 * np.arange(5) / 4.0,
+                                   [math.comb(4, k) for k in range(5)])),
+], ids=["cycle8", "complete6", "hypercube4"])
+def test_spectral_data_closed_form_walk_spectra(chain, spectrum):
+    data = markov.spectral_data(chain)
+    vals, vecs = data.eigenvalues, data.eigenvectors
+    expected = np.sort(spectrum)[::-1]
+    np.testing.assert_allclose(vals, expected, atol=1e-12)
+    assert np.all(np.diff(vals) <= 0.0)
+    assert data.lambda2 == pytest.approx(expected[1], abs=1e-12)
+    np.testing.assert_allclose(vecs.T @ vecs, np.eye(chain.n), atol=1e-12)
+    # regular walks have uniform pi, so the symmetrization is A itself
+    np.testing.assert_allclose(chain.A @ vecs, vecs * vals, atol=1e-12)
 
 
 @settings(deadline=None, max_examples=30)
