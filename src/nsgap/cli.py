@@ -13,6 +13,7 @@ subcommand.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -111,7 +112,9 @@ def _chain_from_arg(path: str) -> markov.StochasticChain:
         return markov.chain_from_text(fh.read())
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="nsgap")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")

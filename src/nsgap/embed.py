@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import (
     EmptyDecomposition,
-    NotAMetric,
     NotReversibleChain,
     SizeMismatch,
     SolverStalled,
@@ -29,6 +28,7 @@ from .errors import (
     ZeroWeight,
 )
 from .markov import StochasticChain, spectral_data
+from .spaces import MetricSpace, _validate_finite_metric, pair_norms
 
 MAX_ITERS = 5000
 STALL_WINDOW = 200
@@ -64,21 +64,6 @@ class GramEmbedding:
         }
 
 
-def _check_metric(dist: np.ndarray) -> np.ndarray:
-    dist = np.asarray(dist, dtype=float)
-    n = dist.shape[0]
-    if dist.ndim != 2 or dist.shape != (n, n):
-        raise NotAMetric("distance matrix must be square")
-    if np.max(np.abs(dist - dist.T)) > 1e-12 or np.max(np.abs(np.diag(dist))) > 1e-12:
-        raise NotAMetric("distance matrix must be symmetric with zero diagonal")
-    if np.min(dist + np.eye(n)) <= 0:
-        raise NotAMetric("off-diagonal distances must be positive")
-    through = np.min(dist[:, :, None] + dist[None, :, :], axis=1)
-    if np.max(dist - through) > 1e-9:
-        raise NotAMetric("triangle inequality violated")
-    return dist
-
-
 def _check_weights(mu, n: int) -> np.ndarray:
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (n,):
@@ -86,6 +71,10 @@ def _check_weights(mu, n: int) -> np.ndarray:
     if np.min(mu) <= 0:
         raise ZeroWeight("weights must be strictly positive")
     return mu / mu.sum()
+
+
+def _euclidean_pair_norms(diffs: np.ndarray) -> np.ndarray:
+    return pair_norms(MetricSpace.lp(2.0, diffs.shape[-1]), diffs)[0]
 
 
 def _psd_project(G: np.ndarray) -> np.ndarray:
@@ -113,7 +102,7 @@ def average_embed_hilbert(dist, mu, theta: float) -> GramEmbedding:
     """Maximize the mu-average of squared embedded distances subject to the
     snowflaked Lipschitz caps; returns the factorized embedding with its
     Lipschitz and spread certificates."""
-    dist = _check_metric(dist)
+    dist = _validate_finite_metric(dist, positive=True)
     n = dist.shape[0]
     mu = _check_weights(mu, n)
     if not (0.0 < theta <= 1.0):
@@ -187,15 +176,14 @@ def evaluate_average_distortion(points, dist, mu, q: float, theta: float) -> dic
     q-powered embedded distances over the q-powered snowflaked distances;
     D = lip / spread^{1/q}."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    dist = _check_metric(dist)
+    dist = _validate_finite_metric(dist, positive=True)
     n = dist.shape[0]
     if points.shape[0] != n:
         raise SizeMismatch("one embedded point per metric point is required")
     mu = _check_weights(mu, n)
     if q < 1.0:
         raise UnsupportedSpace("average distortion requires q >= 1")
-    diff = points[:, None, :] - points[None, :, :]
-    emb = np.sqrt(np.sum(diff**2, axis=2))
+    emb = _euclidean_pair_norms(points[:, None, :] - points[None, :, :])
     off = ~np.eye(n, dtype=bool)
     snow = dist**theta
     lip = float(np.max(emb[off] / snow[off]))
@@ -219,7 +207,7 @@ def duality_forward_check(embedding: GramEmbedding, chain: StochasticChain,
         raise UnsupportedSpace("forward duality is instantiated for q = 2 only")
     if not chain.reversible:
         raise NotReversibleChain("forward duality requires a reversible chain")
-    dist = _check_metric(dist)
+    dist = _validate_finite_metric(dist, positive=True)
     if dist.shape[0] != chain.n:
         raise SizeMismatch("metric size must match the state count")
     snow_q = dist ** (theta * q)
@@ -249,7 +237,7 @@ def duality_witness_check(weights, configs, dist, mu, q: float, theta: float,
         sum mu_i mu_j ||f_i - f_j||^q >= sum mu_i mu_j d^{theta q}."""
     weights = np.asarray(weights, dtype=float)
     configs = np.asarray(configs, dtype=float)
-    dist = _check_metric(dist)
+    dist = _validate_finite_metric(dist, positive=True)
     n = dist.shape[0]
     if configs.ndim == 2:
         configs = configs[None, :, :]
@@ -260,8 +248,7 @@ def duality_witness_check(weights, configs, dist, mu, q: float, theta: float,
         raise EmptyDecomposition("weights must be strictly positive")
     mu = _check_weights(mu, n)
     # ||f_i - f_j||^q = sum_k w_k ||y_i(k) - y_j(k)||_2^q
-    diff = configs[:, :, None, :] - configs[:, None, :, :]
-    per_cfg = np.sqrt(np.sum(diff**2, axis=3))  # m x n x n
+    per_cfg = _euclidean_pair_norms(configs[:, :, None, :] - configs[:, None, :, :])
     fq = np.einsum("k,kij->ij", weights, per_cfg**q)
     fnorm = fq ** (1.0 / q)
     off = ~np.eye(n, dtype=bool)

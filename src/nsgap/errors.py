@@ -97,7 +97,7 @@ class NoConvergence(NumericalError):
 
 # --- embed ----------------------------------------------------------------
 
-class NotAMetric(ValidationError):
+class NotAMetric(DimensionMismatch):
     pass
 
 

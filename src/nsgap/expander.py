@@ -177,15 +177,20 @@ def lp_gap_check(chain: StochasticChain, p: float, dim: int,
 # --- I/O -------------------------------------------------------------------
 
 def graph_from_edge_text(text: str) -> RegularGraph:
-    """One 'u v' pair per line, 0-indexed; degree regularity is validated."""
+    """One 'u v' pair per line, 0-indexed; the graph must be simple (no
+    self-loops or repeated edges) and regular."""
     edges = []
     for line in text.strip().splitlines():
         if not line.strip():
             continue
         u, v = (int(tok) for tok in line.split())
+        if u == v:
+            raise ValidationError(f"self-loop at vertex {u}")
         edges.append((min(u, v), max(u, v)))
     if not edges:
         raise ValidationError("empty edge list")
+    if len(set(edges)) != len(edges):
+        raise ValidationError("repeated edge")
     n = max(max(e) for e in edges) + 1
     deg = np.zeros(n, dtype=int)
     for u, v in edges:

@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 
 from .errors import DegenerateSpan, DimensionMismatch, NoConvergence, UnsupportedSpace
-from .spaces import EllipsoidNorm, MetricSpace
+from .spaces import POLYTOPE_DIM_CAP, EllipsoidNorm, MetricSpace, pair_norms
 
 KHACHIYAN_CAP = 100_000
 MVEE_TOL = 1e-7
@@ -86,28 +86,6 @@ def mvee(points, tol: float = MVEE_TOL, max_iters: int = KHACHIYAN_CAP) -> Ellip
     return EllipsoidNorm(Q)
 
 
-def _facet_normals(space: MetricSpace) -> np.ndarray:
-    """Outer normals z of the unit-ball facets, scaled so the facet is
-    {x : <z, x> = 1}.  The norm is then max_z <z, y> over the normals."""
-    if space.kind == "lp_norm" and np.isinf(space.p):
-        return crosspolytope_vertices(space.dim)
-    if space.kind == "lp_norm" and space.p == 1.0:
-        return hypercube_vertices(space.dim)
-    if space.kind == "polytope_norm":
-        from scipy.spatial import ConvexHull
-
-        hull = ConvexHull(space.vertices)
-        eqs = hull.equations  # rows [a, b] with a.x + b <= 0 inside
-        normals = []
-        for row in eqs:
-            a, b = row[:-1], row[-1]
-            if b >= -1e-12:
-                raise DegenerateSpan("unit ball does not contain the origin")
-            normals.append(a / (-b))
-        return np.array(normals)
-    raise UnsupportedSpace("facet description unavailable for this space")
-
-
 def hilbert_distance(space: MetricSpace, tol: float = MVEE_TOL,
                      sample_count: int = 1000, seed: int = 0) -> dict:
     """Hilbertian norm H and factor D_X with ||y||_H <= ||y||_X <= D_X ||y||_H.
@@ -126,29 +104,26 @@ def hilbert_distance(space: MetricSpace, tol: float = MVEE_TOL,
         return {"D_X": 1.0, "H": space.ellipsoid, "approximate": False}
     if space.kind == "lp_norm" and space.p == 2.0:
         return {"D_X": 1.0, "H": EllipsoidNorm(np.eye(d)), "approximate": False}
-    if space.kind == "lp_norm" and np.isinf(space.p):
-        if d > 12:
-            raise DimensionMismatch("cube vertex enumeration capped at d = 12")
-        verts = hypercube_vertices(d)
-    elif space.kind == "lp_norm" and space.p == 1.0:
-        verts = crosspolytope_vertices(d)
+    if space.kind == "lp_norm" and space.p in (1.0, float("inf")):
+        if d > POLYTOPE_DIM_CAP:
+            raise DimensionMismatch(f"cube vertex enumeration capped at d = {POLYTOPE_DIM_CAP}")
+        cube, cross = hypercube_vertices(d), crosspolytope_vertices(d)
+        verts, normals = (cube, cross) if np.isinf(space.p) else (cross, cube)
     elif space.kind == "lp_norm":
         # no finite vertex description: sample the unit sphere of the norm
         approximate = True
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         dirs = rng.standard_normal((max(sample_count, 50 * d), d))
-        norms = np.sum(np.abs(dirs) ** space.p, axis=1) ** (1.0 / space.p)
-        verts = dirs / norms[:, None]
+        verts = dirs / pair_norms(space, dirs)[0][:, None]
     else:
-        verts = space.vertices
+        verts, normals = space.vertices, space.facets
     ell = mvee(verts, tol=tol)
-    inv = np.linalg.inv(ell.Q)
     if approximate:
         # directional estimate of the upper factor on fresh samples
         rng = np.random.default_rng(np.random.SeedSequence(seed + 1))
         dirs = rng.standard_normal((sample_count, d))
-        hs = np.sqrt(np.einsum("ij,jk,ik->i", dirs, ell.Q, dirs))
-        xs = np.array([space.gauge(u) for u in dirs])
+        hs = pair_norms(MetricSpace.ellipsoid_space(ell), dirs)[0]
+        xs = pair_norms(space, dirs)[0]
         ratios = xs / hs
         dx = float(np.max(ratios))
         lower_violation = float(max(0.0, np.max(hs / xs) - 1.0))
@@ -158,6 +133,6 @@ def hilbert_distance(space: MetricSpace, tol: float = MVEE_TOL,
             dx *= 1.0 + lower_violation
         return {"D_X": dx, "H": ell, "approximate": True,
                 "sampling_slack": lower_violation}
-    normals = _facet_normals(space)
+    inv = np.linalg.inv(ell.Q)
     dx = float(np.sqrt(np.max(np.einsum("ij,jk,ik->i", normals, inv, normals))))
     return {"D_X": max(dx, 1.0), "H": ell, "approximate": False}

@@ -52,11 +52,9 @@ class SpectralData:
 
 
 def _stationary_vector(A: np.ndarray) -> np.ndarray:
-    """Solve pi A = pi, sum(pi) = 1 by a direct linear solve.
-
-    Falls back to power iteration on the lazy chain when the linear system
-    is rank-deficient beyond the expected single null direction.
-    """
+    """Solve pi A = pi, sum(pi) = 1 by a direct least-squares solve; a
+    solution that is not a strictly positive stationary vector means the
+    chain is reducible."""
     n = A.shape[0]
     system = np.vstack([A.T - np.eye(n), np.ones((1, n))])
     rhs = np.zeros(n + 1)
@@ -64,16 +62,7 @@ def _stationary_vector(A: np.ndarray) -> np.ndarray:
     pi, *_ = np.linalg.lstsq(system, rhs, rcond=None)
     if np.min(pi) > 0 and abs(pi.sum() - 1.0) < 1e-9 and np.allclose(pi @ A, pi, atol=1e-9):
         return pi
-    # power iteration fallback; laziness removes periodicity
-    lazy = (A + np.eye(n)) / 2.0
-    pi = np.full(n, 1.0 / n)
-    for _ in range(200_000):
-        nxt = pi @ lazy
-        if np.linalg.norm(nxt - pi, 1) < 1e-15:
-            pi = nxt
-            break
-        pi = nxt
-    return pi / pi.sum()
+    raise NoPositiveStationary("no strictly positive stationary vector (chain reducible?)")
 
 
 def build_reversible_chain(A, pi=None) -> StochasticChain:

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .markov import StochasticChain
 from .rayleigh import gamma_bruteforce, gamma_heuristic, gamma_hilbert_exact
-from .spaces import MetricSpace
+from .spaces import MetricSpace, pair_norms
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ class WeightedVectorFunction:
 def _pointwise_norms(f: WeightedVectorFunction, space: MetricSpace) -> np.ndarray:
     if not space.is_normed:
         raise UnsupportedSpace("Mazur maps act on functions into a normed space")
-    return np.array([space.gauge(v) for v in f.values])
+    return pair_norms(space, f.values)[0]
 
 
 def lp_norm(f: WeightedVectorFunction, space: MetricSpace, p: float) -> float:

@@ -34,7 +34,13 @@ from .errors import (
     UnsupportedSpace,
 )
 from .markov import StochasticChain, lazy_power, spectral_data
-from .spaces import Configuration, EllipsoidNorm, MetricSpace, config_distance_matrix
+from .spaces import (
+    Configuration,
+    EllipsoidNorm,
+    MetricSpace,
+    config_distance_matrix,
+    pair_norms,
+)
 
 P_MIN, P_MAX = 1.0, 8.0
 ENUM_CAP = 10_000_000
@@ -262,19 +268,19 @@ def pointwise_estimate_check(x: Configuration, chainB: StochasticChain,
         raise UnsupportedSpace("the comparison requires a normed space")
     if not chainB.reversible:
         raise NotReversibleChain("the pointwise estimate requires a reversible chain")
-    d = spaceX.dim
+    hilbert = MetricSpace.ellipsoid_space(H)
     rng = np.random.default_rng(np.random.SeedSequence(sandwich_seed))
-    for _ in range(sandwich_trials):
-        u = rng.standard_normal(d)
-        nh, nx = H.norm(u), spaceX.gauge(u)
-        if nh > nx * (1.0 + 1e-9) + 1e-12 or nx > D * nh * (1.0 + 1e-9) + 1e-12:
-            raise NormSandwichViolated(
-                f"sampled direction breaks the sandwich: H={nh:.6g}, X={nx:.6g}, D={D}"
-            )
+    dirs = rng.standard_normal((sandwich_trials, spaceX.dim))
+    nh = pair_norms(hilbert, dirs)[0]
+    nx = pair_norms(spaceX, dirs)[0]
+    broken = (nh > nx * (1.0 + 1e-9) + 1e-12) | (nx > D * nh * (1.0 + 1e-9) + 1e-12)
+    if np.any(broken):
+        k = int(np.argmax(broken))
+        raise NormSandwichViolated(
+            f"sampled direction breaks the sandwich: H={nh[k]:.6g}, X={nx[k]:.6g}, D={D}"
+        )
     pts = np.asarray(x.points, dtype=float)
-    n = pts.shape[0]
-    diff = pts[:, None, :] - pts[None, :, :]
-    sq_h = np.einsum("ijk,kl,ijl->ij", diff, H.Q, diff)
+    sq_h = config_distance_matrix(Configuration(hilbert, pts)) ** 2
     b2 = chainB.A @ chainB.A
     r_h = _quotient(b2, chainB.pi, sq_h)
     premise = r_h >= 1.0 - eta**2 - 1e-12
@@ -292,48 +298,6 @@ def pointwise_estimate_check(x: Configuration, chainB: StochasticChain,
 
 
 # --- heuristic maximizer over normed targets ---------------------------------
-
-def _pair_geometry(space: MetricSpace, pts: np.ndarray):
-    """Pairwise norms of differences and norm subgradients (wrt the first
-    point of each pair).  Shapes (n, n) and (n, n, d)."""
-    diff = pts[:, None, :] - pts[None, :, :]
-    n, _, d = diff.shape
-    if space.kind == "lp_norm" and space.p == 2.0:
-        norms = np.sqrt(np.sum(diff**2, axis=2))
-        safe = np.where(norms > 0, norms, 1.0)
-        grads = diff / safe[:, :, None]
-    elif space.kind == "lp_norm" and np.isinf(space.p):
-        norms = np.max(np.abs(diff), axis=2)
-        grads = np.zeros_like(diff)
-        top = np.argmax(np.abs(diff), axis=2)
-        ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        vals = diff[ii, jj, top]
-        grads[ii, jj, top] = np.where(vals != 0, np.sign(vals), 1.0)
-    elif space.kind == "lp_norm" and space.p == 1.0:
-        norms = np.sum(np.abs(diff), axis=2)
-        grads = np.sign(diff)
-    elif space.kind == "lp_norm":
-        q = space.p
-        norms = np.sum(np.abs(diff) ** q, axis=2) ** (1.0 / q)
-        safe = np.where(norms > 0, norms, 1.0)
-        grads = np.sign(diff) * (np.abs(diff) / safe[:, :, None]) ** (q - 1.0)
-    elif space.kind == "ellipsoid_norm":
-        qmat = space.ellipsoid.Q
-        norms = np.sqrt(np.einsum("ijk,kl,ijl->ij", diff, qmat, diff))
-        safe = np.where(norms > 0, norms, 1.0)
-        grads = np.einsum("ijk,kl->ijl", diff, qmat) / safe[:, :, None]
-    else:
-        norms = np.zeros((n, n))
-        grads = np.zeros_like(diff)
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                norms[i, j] = space.gauge(diff[i, j])
-                grads[i, j] = space.gauge_subgradient(diff[i, j])
-    np.fill_diagonal(norms, 0.0)
-    return norms, grads
-
 
 def gamma_heuristic(chain: StochasticChain, space: MetricSpace, p: float,
                     restarts: int = 32, iters: int = 500, seed: int = 0) -> GapEstimate:
@@ -360,7 +324,8 @@ def gamma_heuristic(chain: StochasticChain, space: MetricSpace, p: float,
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
     def evaluate(pts):
-        norms, grads = _pair_geometry(space, pts)
+        # norms of pair differences, subgradients wrt the first point
+        norms, grads = pair_norms(space, pts[:, None, :] - pts[None, :, :])
         powered = norms**e
         num = float(np.sum(w * powered))
         den = float(np.sum(u * powered))

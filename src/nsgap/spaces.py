@@ -2,8 +2,10 @@
 
 A MetricSpace is either a finite metric (dense distance matrix) or a normed
 space on R^d given by an l_p exponent, a symmetric polytope unit ball, or a
-positive-definite quadratic form.  All distances are reported through the
-snowflake exponent theta in (0, 1].
+positive-definite quadratic form.  A polytope stores the facet normals of
+its unit ball (from Qhull, d <= POLYTOPE_DIM_CAP), so its norm is a maximum
+of inner products.  Every norm evaluation goes through `pair_norms`.  All
+distances are reported through the snowflake exponent theta in (0, 1].
 """
 
 from __future__ import annotations
@@ -13,17 +15,19 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     BadExponentRange,
+    DegenerateSpan,
     DimensionMismatch,
     LengthMismatch,
+    NotAMetric,
     UnsupportedSpace,
 )
 
 FINITE_N_CAP = 512
 TRIANGLE_TOL = 1e-9
+POLYTOPE_DIM_CAP = 12  # facet counts grow exponentially with the dimension
 
 
 @dataclass(frozen=True)
@@ -48,8 +52,7 @@ class EllipsoidNorm:
         return self.Q.shape[0]
 
     def norm(self, y: np.ndarray) -> float:
-        y = np.asarray(y, dtype=float)
-        return float(np.sqrt(y @ self.Q @ y))
+        return MetricSpace.ellipsoid_space(self).gauge(y)
 
 
 @dataclass(frozen=True)
@@ -62,15 +65,19 @@ class MetricSpace:
     vertices: Optional[np.ndarray] = None
     ellipsoid: Optional[EllipsoidNorm] = None
     _validate: bool = field(default=True, repr=False)
+    # polytope facet normals z, one per row, with the norm max_z <z, y>
+    facets: Optional[np.ndarray] = field(default=None, init=False, repr=False,
+                                         compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.theta <= 1.0):
             raise BadExponentRange(f"snowflake exponent must be in (0,1], got {self.theta}")
         if self.kind == "finite":
-            d = np.asarray(self.dist, dtype=float)
-            object.__setattr__(self, "dist", d)
             if self._validate:
-                _validate_finite_metric(d)
+                d = _validate_finite_metric(self.dist)
+            else:
+                d = np.asarray(self.dist, dtype=float)
+            object.__setattr__(self, "dist", d)
             d.setflags(write=False)
         elif self.kind == "lp_norm":
             if self.p is None or self.p < 1.0:
@@ -81,13 +88,18 @@ class MetricSpace:
             v = np.asarray(self.vertices, dtype=float)
             if v.ndim != 2:
                 raise DimensionMismatch("polytope vertices must be an m-by-d array")
+            if v.shape[1] > POLYTOPE_DIM_CAP:
+                raise UnsupportedSpace(f"polytope norms capped at d = {POLYTOPE_DIM_CAP}")
             # enforce origin symmetry by augmenting with negations
             v = _symmetrize_vertices(v)
             if np.linalg.matrix_rank(v) < v.shape[1]:
                 raise DimensionMismatch("polytope vertices do not span R^d")
+            z = _facet_normals(v)
             object.__setattr__(self, "vertices", v)
+            object.__setattr__(self, "facets", z)
             object.__setattr__(self, "dim", v.shape[1])
             v.setflags(write=False)
+            z.setflags(write=False)
         elif self.kind == "ellipsoid_norm":
             if self.ellipsoid is None:
                 raise DimensionMismatch("ellipsoid_norm requires an EllipsoidNorm")
@@ -127,54 +139,61 @@ class MetricSpace:
 
     def gauge(self, y: np.ndarray) -> float:
         """Norm of a vector (no snowflaking)."""
-        y = np.asarray(y, dtype=float)
-        if self.kind == "lp_norm":
-            if y.shape[-1] != self.dim:
-                raise DimensionMismatch("vector dimension mismatch")
-            if np.isinf(self.p):
-                return float(np.max(np.abs(y)))
-            return float(np.sum(np.abs(y) ** self.p) ** (1.0 / self.p))
-        if self.kind == "ellipsoid_norm":
-            return self.ellipsoid.norm(y)
-        if self.kind == "polytope_norm":
-            return _polytope_gauge(self.vertices, y)
-        raise UnsupportedSpace("gauge is defined for normed spaces only")
+        return float(pair_norms(self, y)[0])
 
     def gauge_subgradient(self, y: np.ndarray) -> np.ndarray:
-        """A subgradient of the norm at y (first-max tie-breaking for l_inf)."""
-        y = np.asarray(y, dtype=float)
-        if self.kind == "lp_norm":
-            if np.isinf(self.p):
-                g = np.zeros_like(y)
-                k = int(np.argmax(np.abs(y)))
-                g[k] = np.sign(y[k]) if y[k] != 0 else 1.0
-                return g
-            if self.p == 1.0:
-                return np.sign(y)
-            norm = self.gauge(y)
-            if norm == 0:
-                return np.zeros_like(y)
-            return np.sign(y) * np.abs(y) ** (self.p - 1.0) / norm ** (self.p - 1.0)
-        if self.kind == "ellipsoid_norm":
-            norm = self.gauge(y)
-            if norm == 0:
-                return np.zeros_like(y)
-            return (self.ellipsoid.Q @ y) / norm
-        if self.kind == "polytope_norm":
-            # central differences; polytope dims are small by design
-            g = np.zeros_like(y)
-            h = 1e-6 * max(1.0, float(np.max(np.abs(y))))
-            for i in range(y.size):
-                e = np.zeros_like(y)
-                e[i] = h
-                g[i] = (self.gauge(y + e) - self.gauge(y - e)) / (2.0 * h)
-            return g
-        raise UnsupportedSpace("subgradient is defined for normed spaces only")
+        """A subgradient of the norm at y (first-max tie-breaking for l_inf
+        and polytopes)."""
+        return pair_norms(self, y)[1]
+
+
+def pair_norms(space: MetricSpace, diffs) -> tuple:
+    """Norms of the vectors along the last axis of `diffs`, and one
+    subgradient of the norm at each; shapes diffs.shape[:-1] and diffs.shape.
+
+    A polytope norm is max_z <z, y> over the facet normals and its
+    subgradient is the arg-max normal.  Smooth norms get the zero subgradient
+    at the origin.
+    """
+    if not space.is_normed:
+        raise UnsupportedSpace("norms are defined for normed spaces only")
+    diffs = np.asarray(diffs, dtype=float)
+    if diffs.shape[-1] != space.dim:
+        raise DimensionMismatch("vector dimension mismatch")
+    if space.kind == "lp_norm" and space.p == 2.0:
+        norms = np.sqrt(np.sum(diffs**2, axis=-1))
+        safe = np.where(norms > 0, norms, 1.0)
+        grads = diffs / safe[..., None]
+    elif space.kind == "lp_norm" and np.isinf(space.p):
+        top = np.argmax(np.abs(diffs), axis=-1)[..., None]
+        vals = np.take_along_axis(diffs, top, axis=-1)
+        norms = np.abs(vals[..., 0])
+        grads = np.zeros_like(diffs)
+        np.put_along_axis(grads, top, np.where(vals != 0, np.sign(vals), 1.0), axis=-1)
+    elif space.kind == "lp_norm" and space.p == 1.0:
+        norms = np.sum(np.abs(diffs), axis=-1)
+        grads = np.sign(diffs)
+    elif space.kind == "lp_norm":
+        q = space.p
+        norms = np.sum(np.abs(diffs) ** q, axis=-1) ** (1.0 / q)
+        safe = np.where(norms > 0, norms, 1.0)
+        grads = np.sign(diffs) * (np.abs(diffs) / safe[..., None]) ** (q - 1.0)
+    elif space.kind == "ellipsoid_norm":
+        qmat = space.ellipsoid.Q
+        norms = np.sqrt(np.einsum("...k,kl,...l->...", diffs, qmat, diffs))
+        safe = np.where(norms > 0, norms, 1.0)
+        grads = np.einsum("...k,kl->...l", diffs, qmat) / safe[..., None]
+    else:
+        scores = diffs @ space.facets.T
+        top = np.argmax(scores, axis=-1)
+        norms = np.take_along_axis(scores, top[..., None], axis=-1)[..., 0]
+        grads = space.facets[top]
+    return norms, grads
 
 
 def _symmetrize_vertices(v: np.ndarray) -> np.ndarray:
     stacked = np.vstack([v, -v])
-    # drop near-duplicates so the gauge LP stays small (order-preserving)
+    # drop near-duplicates (order-preserving)
     uniq = []
     for row in stacked:
         if not any(np.allclose(row, u, atol=1e-12) for u in uniq):
@@ -182,42 +201,48 @@ def _symmetrize_vertices(v: np.ndarray) -> np.ndarray:
     return np.array(uniq)
 
 
-def _validate_finite_metric(d: np.ndarray) -> None:
+def _validate_finite_metric(dist, positive: bool = False) -> np.ndarray:
+    """The distance matrix as a float array, once it is a square matrix of at
+    most FINITE_N_CAP points with a zero diagonal, symmetric, nonnegative
+    (strictly positive off the diagonal when `positive`) and satisfying the
+    triangle inequality.  The size cap is checked before the O(n^3) triangle
+    test allocates."""
+    d = np.asarray(dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise DimensionMismatch("distance matrix must be square")
     n = d.shape[0]
     if n > FINITE_N_CAP:
         raise DimensionMismatch(f"finite metrics capped at {FINITE_N_CAP} points")
     if np.max(np.abs(np.diag(d))) > 1e-12:
-        raise DimensionMismatch("distance matrix must have a zero diagonal")
+        raise NotAMetric("distance matrix must have a zero diagonal")
     if np.max(np.abs(d - d.T)) > 1e-12:
-        raise DimensionMismatch("distance matrix must be symmetric")
+        raise NotAMetric("distance matrix must be symmetric")
     if np.min(d) < 0:
-        raise DimensionMismatch("distances must be nonnegative")
+        raise NotAMetric("distances must be nonnegative")
+    if positive and np.min(d + np.eye(n)) <= 0:
+        raise NotAMetric("off-diagonal distances must be positive")
     # O(n^3) triangle inequality via broadcasting
     through = np.min(d[:, :, None] + d[None, :, :], axis=1)
     if np.max(d - through) > TRIANGLE_TOL:
-        raise DimensionMismatch("triangle inequality violated")
+        raise NotAMetric("triangle inequality violated")
+    return d
 
 
-def _polytope_gauge(vertices: np.ndarray, y: np.ndarray) -> float:
-    """Gauge of conv(vertices) at y: min sum(lam) s.t. V^T lam = y, lam >= 0."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (vertices.shape[1],):
-        raise DimensionMismatch("vector dimension mismatch")
-    if np.allclose(y, 0.0, atol=1e-300):
-        return 0.0
-    m = vertices.shape[0]
-    res = linprog(
-        c=np.ones(m),
-        A_eq=vertices.T,
-        b_eq=y,
-        bounds=[(0, None)] * m,
-        method="highs",
-    )
-    if not res.success:
-        raise UnsupportedSpace("polytope gauge LP failed (point outside the span?)")
-    return float(res.fun)
+def _facet_normals(v: np.ndarray) -> np.ndarray:
+    """Outer normals z of the facets of the symmetric body conv(v), scaled so
+    each facet is {x : <z, x> = 1}.  Qhull triangulates, so facets split into
+    simplices repeat their normal; the repeats are dropped."""
+    if v.shape[1] == 1:  # Qhull needs two dimensions; the ball is [-r, r]
+        return np.array([[1.0], [-1.0]]) / np.max(np.abs(v))
+    from scipy.spatial import ConvexHull, QhullError
+
+    try:
+        eqs = ConvexHull(v).equations  # rows [a, b] with a.x + b <= 0 inside
+    except QhullError as exc:
+        raise DegenerateSpan(f"Qhull failed on the polytope vertices: {exc}") from exc
+    if np.max(eqs[:, -1]) >= -1e-12:
+        raise DegenerateSpan("unit ball does not contain the origin")
+    return np.unique(eqs[:, :-1] / -eqs[:, -1:], axis=0)
 
 
 @dataclass(frozen=True)
@@ -273,26 +298,7 @@ def base_distance(space: MetricSpace, a, b) -> float:
 
 def config_distance_matrix(x: Configuration) -> np.ndarray:
     """Pairwise snowflaked distances of a configuration."""
-    space = x.space
-    if space.kind == "finite":
-        base = space.dist[np.ix_(x.points, x.points)]
-    else:
-        pts = x.points
-        n = pts.shape[0]
-        if space.kind == "lp_norm" and not np.isinf(space.p):
-            diff = np.abs(pts[:, None, :] - pts[None, :, :])
-            base = np.sum(diff ** space.p, axis=2) ** (1.0 / space.p)
-        elif space.kind == "lp_norm":
-            base = np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=2)
-        elif space.kind == "ellipsoid_norm":
-            diff = pts[:, None, :] - pts[None, :, :]
-            base = np.sqrt(np.einsum("ijk,kl,ijl->ij", diff, space.ellipsoid.Q, diff))
-        else:
-            base = np.zeros((n, n))
-            for i in range(n):
-                for j in range(i + 1, n):
-                    base[i, j] = base[j, i] = space.gauge(pts[i] - pts[j])
-    return base ** space.theta
+    return cross_distance_matrix(x, x)
 
 
 def cross_distance_matrix(x: Configuration, y: Configuration) -> np.ndarray:
@@ -301,11 +307,7 @@ def cross_distance_matrix(x: Configuration, y: Configuration) -> np.ndarray:
     if space.kind == "finite":
         base = space.dist[np.ix_(x.points, y.points)]
     else:
-        n = x.n
-        base = np.zeros((n, y.n))
-        for i in range(n):
-            for j in range(y.n):
-                base[i, j] = space.gauge(x.points[i] - y.points[j])
+        base = pair_norms(space, x.points[:, None, :] - y.points[None, :, :])[0]
     return base ** space.theta
 
 
@@ -317,12 +319,10 @@ def product_distance(pi, space: MetricSpace, p: float, x: Configuration, y: Conf
     if not np.isfinite(p) or p < 1.0:
         raise BadExponentRange("product metric requires finite p >= 1")
     if space.kind == "finite":
-        per_state = space.dist[x.points, y.points] ** space.theta
+        base = space.dist[x.points, y.points]
     else:
-        per_state = np.array(
-            [distance(space, x.points[i], y.points[i]) for i in range(x.n)]
-        )
-    return float(np.sum(pi * per_state**p) ** (1.0 / p))
+        base = pair_norms(space, x.points - y.points)[0]
+    return float(np.sum(pi * (base ** space.theta) ** p) ** (1.0 / p))
 
 
 def modulus_check(space: MetricSpace, mode: str, exponent: float, constant: float,
@@ -344,26 +344,19 @@ def modulus_check(space: MetricSpace, mode: str, exponent: float, constant: floa
     else:
         raise BadExponentRange(f"unknown mode {mode!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    d = space.dim
-    violations = 0
-    worst = 0.0
-    for _ in range(trials):
-        x = rng.standard_normal(d)
-        y = rng.standard_normal(d)
-        nx, ny = space.gauge(x), space.gauge(y)
-        mid = space.gauge((x + y) / 2.0)
-        half = space.gauge((x - y) / 2.0)
-        e = exponent
-        if mode == "smooth":
-            lhs = (nx**e + ny**e) / 2.0
-            rhs = mid**e + constant**e * half**e
-        else:
-            lhs = mid**e + half**e / constant**e
-            rhs = (nx**e + ny**e) / 2.0
-        if rhs > 0:
-            worst = max(worst, lhs / rhs)
-        if lhs > rhs * (1.0 + 1e-9) + 1e-12:
-            violations += 1
+    # one draw of shape (trials, 2, d) is the stream of per-trial x, y draws
+    x, y = np.moveaxis(rng.standard_normal((trials, 2, space.dim)), 1, 0)
+    nx, ny, mid, half = pair_norms(space, np.stack([x, y, (x + y) / 2.0, (x - y) / 2.0]))[0]
+    e = exponent
+    if mode == "smooth":
+        lhs = (nx**e + ny**e) / 2.0
+        rhs = mid**e + constant**e * half**e
+    else:
+        lhs = mid**e + half**e / constant**e
+        rhs = (nx**e + ny**e) / 2.0
+    positive = rhs > 0
+    worst = float(np.max(lhs[positive] / rhs[positive], initial=0.0))
+    violations = int(np.sum(lhs > rhs * (1.0 + 1e-9) + 1e-12))
     return {"violations": violations, "worst_ratio": worst}
 
 

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from . import embed, expander, john, markov, mazur, rayleigh
-from .spaces import Configuration, MetricSpace
+from .spaces import Configuration, MetricSpace, config_distance_matrix
 
 
 def _rng(seed: int, criterion: int) -> np.random.Generator:
@@ -34,8 +34,12 @@ def hypercube_corners(d: int, count: int | None = None) -> np.ndarray:
     return np.array(pts)
 
 
+def _lp_metric(points: np.ndarray, p: float) -> np.ndarray:
+    return config_distance_matrix(Configuration(MetricSpace.lp(p, points.shape[1]), points))
+
+
 def linf_metric(points: np.ndarray) -> np.ndarray:
-    return np.max(np.abs(points[:, None, :] - points[None, :, :]), axis=2)
+    return _lp_metric(points, float("inf"))
 
 
 def hypercube_walk_chain(corners: np.ndarray) -> markov.StochasticChain:
@@ -44,7 +48,7 @@ def hypercube_walk_chain(corners: np.ndarray) -> markov.StochasticChain:
     (Metropolis), remainder on the diagonal.  For the full corner set this is
     the standard cube walk."""
     n = corners.shape[0]
-    ham = np.sum(np.abs(corners[:, None, :] - corners[None, :, :]), axis=2)
+    ham = _lp_metric(corners, 1.0)
     adj = (np.abs(ham - 1.0) < 1e-12).astype(float)
     deg = adj.sum(axis=1)
     dmax = float(np.max(deg))

@@ -139,6 +139,28 @@ def test_unknown_subcommand_exit_64(capsys):
     assert cli.run(["no-such-command"]) == 64
 
 
+def test_cached_parser_keeps_exit_codes_and_outputs(capsys, flip_chain_file,
+                                                    hilbert_space_file):
+    """The parser is built once per process; a parse error, an unknown
+    subcommand and a good request, in either order, keep their exit codes and
+    give the same bytes on stdout and stderr."""
+    requests = (["gap", "--chain", flip_chain_file, "--p", "x"],
+                ["no-such-command"],
+                ["gap", "--chain", flip_chain_file, "--space", hilbert_space_file])
+
+    def once(argv):
+        code = cli.run(argv)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    first = [once(argv) for argv in requests]
+    assert [code for code, _, _ in first] == [2, 64, 0]
+    assert first[2][1] and not first[2][2]
+    again = [once(argv) for argv in reversed(requests)]
+    assert again == first[::-1]
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_missing_file_exit_2(tmp_path, hilbert_space_file):
     code = cli.run(["gap", "--chain", str(tmp_path / "absent.json"),
                     "--space", hilbert_space_file])
@@ -161,6 +183,13 @@ def test_unavailable_gap_exit_2(tmp_path, flip_chain_file):
     code = cli.run(["extrapolate", "--chain", str(ident), "--space", str(space),
                     "--p", "2", "--q", "2"])
     assert code == 2
+
+
+def test_oversized_polytope_exit_2(tmp_path, flip_chain_file):
+    space = tmp_path / "poly13.json"
+    space.write_text(json.dumps({"kind": "polytope", "vertices": np.eye(13).tolist()}))
+    assert cli.run(["gap", "--chain", flip_chain_file, "--space", str(space),
+                    "--method", "heuristic"]) == 2
 
 
 def test_numerical_failure_exit_3(monkeypatch, tmp_path):

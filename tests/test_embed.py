@@ -1,10 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from nsgap import embed, markov
-from nsgap.errors import EmptyDecomposition, NotAMetric, SizeMismatch, ZeroWeight
+from nsgap.errors import (
+    DimensionMismatch,
+    EmptyDecomposition,
+    NotAMetric,
+    SizeMismatch,
+    ZeroWeight,
+)
+from nsgap.spaces import FINITE_N_CAP
 
 
 def four_cycle_path_metric():
@@ -71,6 +79,21 @@ def test_input_guards():
         embed.average_embed_hilbert(np.array([[0.0, 1.0], [2.0, 0.0]]), [0.5, 0.5], 1.0)
     with pytest.raises(ZeroWeight):
         embed.average_embed_hilbert(np.array([[0.0, 1.0], [1.0, 0.0]]), [1.0, 0.0], 1.0)
+
+
+def test_oversized_metric_rejected_before_triangle_check():
+    """The point cap is checked before the O(n^3) triangle broadcast, which
+    would take about 1 GB at 513 points; the input matrix itself is 2 MB."""
+    n = FINITE_N_CAP + 1
+    dist = np.ones((n, n)) - np.eye(n)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionMismatch, match="capped"):
+            embed.average_embed_hilbert(dist, np.full(n, 1.0 / n), 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_evaluate_identity_embedding():

@@ -252,6 +252,19 @@ def test_graph_edge_text_rejects_irregular():
         expander.graph_from_edge_text("0 1\n1 2")
 
 
+def test_graph_edge_text_rejects_self_loops():
+    # without the check this parses as a "3-regular" graph on 2 vertices
+    with pytest.raises(ValidationError, match="self-loop"):
+        expander.graph_from_edge_text("0 0\n1 1\n0 1")
+
+
+def test_graph_edge_text_rejects_repeated_edges():
+    # a doubled edge, in either orientation, would read as a 2-regular graph
+    for text in ("0 1\n0 1", "0 1\n1 0"):
+        with pytest.raises(ValidationError, match="repeated edge"):
+            expander.graph_from_edge_text(text)
+
+
 def test_graph_json():
     g = four_cycle_graph()
     out = expander.graph_to_json(g)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -46,6 +47,19 @@ def test_build_rejects_reducible():
     A = np.array([[1.0, 0.0], [0.5, 0.5]])
     with pytest.raises(NoPositiveStationary):
         markov.build_reversible_chain(A)
+
+
+def test_large_reducible_chain_rejected_quickly():
+    """A slow drift into an absorbing state: the only stationary vector is a
+    point mass, so the chain is rejected straight after the linear solve.
+    Power iteration would need about a million steps to see it."""
+    n = 512
+    A = 0.999 * np.eye(n) + 0.001 * np.eye(n, k=1)
+    A[-1, -1] = 1.0
+    start = time.process_time()
+    with pytest.raises(NoPositiveStationary):
+        markov.build_reversible_chain(A)
+    assert time.process_time() - start < 1.0
 
 
 def test_nonreversible_is_flagged_not_raised():

@@ -133,6 +133,19 @@ def test_heuristic_identity_chain_infinite():
     assert est.value == float("inf")
 
 
+def test_heuristic_cube_polytope_matches_linf_bit_for_bit():
+    """The cube's facet normals are exactly +-e_k, so its polytope norm and
+    arg-max subgradient reproduce l_inf and the whole ascent repeats."""
+    chain = markov.random_reversible_chain(6, np.random.default_rng(0))
+    cube = MetricSpace.polytope(list(itertools.product((-1.0, 1.0), repeat=3)))
+    linf = MetricSpace.lp(float("inf"), 3)
+    for p in (1.0, 2.0):
+        a = rayleigh.gamma_heuristic(chain, cube, p, restarts=2, iters=50)
+        b = rayleigh.gamma_heuristic(chain, linf, p, restarts=2, iters=50)
+        assert a.value == b.value
+        np.testing.assert_array_equal(a.witness.points, b.witness.points)
+
+
 def test_heuristic_linf_is_a_lower_bound_with_valid_witness():
     """Cross-check against enumeration of cube-corner configurations: the
     heuristic's witness must reproduce its value (so the estimate is a

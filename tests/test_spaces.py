@@ -1,9 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsgap.errors import BadExponentRange, DimensionMismatch, LengthMismatch
+from nsgap.errors import (
+    BadExponentRange,
+    DegenerateSpan,
+    DimensionMismatch,
+    LengthMismatch,
+    UnsupportedSpace,
+)
 from nsgap.spaces import (
     Configuration,
     EllipsoidNorm,
@@ -11,6 +19,7 @@ from nsgap.spaces import (
     config_distance_matrix,
     distance,
     modulus_check,
+    pair_norms,
     product_distance,
     space_from_json,
     space_to_json,
@@ -148,6 +157,91 @@ def test_polytope_gauge_matches_l1():
     for _ in range(20):
         y = rng.standard_normal(2)
         assert cross.gauge(y) == pytest.approx(l1.gauge(y), abs=1e-8)
+
+
+def lp_oracle_gauge(vertices, y):
+    """Gauge of conv(vertices) at y as the LP min sum(lam), V^T lam = y,
+    lam >= 0; a reference independent of the facet description."""
+    from scipy.optimize import linprog
+
+    res = linprog(np.ones(len(vertices)), A_eq=vertices.T, b_eq=y,
+                  bounds=(0, None), method="highs")
+    assert res.success
+    return res.fun
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_facet_gauge_matches_lp_oracle(d):
+    rng = np.random.default_rng(d)
+    for m in (d, d + 3, 3 * d):
+        space = MetricSpace.polytope(rng.standard_normal((m, d)))
+        ys = rng.standard_normal((10, d))
+        norms, _ = pair_norms(space, ys)
+        for y, norm in zip(ys, norms):
+            assert norm == pytest.approx(lp_oracle_gauge(space.vertices, y), rel=1e-7)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_polytope_subgradient_is_a_norming_functional(d):
+    """<g, y> = ||y|| and g lies in the dual ball: <g, v> <= 1 at every
+    vertex v of the unit ball."""
+    rng = np.random.default_rng(10 + d)
+    space = MetricSpace.polytope(rng.standard_normal((2 * d, d)))
+    ys = rng.standard_normal((50, d))
+    norms, grads = pair_norms(space, ys)
+    np.testing.assert_allclose(np.sum(grads * ys, axis=1), norms, rtol=1e-12)
+    assert np.max(grads @ space.vertices.T) <= 1.0 + 1e-12
+
+
+def test_pair_norms_match_per_vector_gauge_for_every_kind():
+    rng = np.random.default_rng(3)
+    spaces = (MetricSpace.lp(2.0, 3), MetricSpace.lp(float("inf"), 3),
+              MetricSpace.lp(1.0, 3), MetricSpace.lp(3.0, 3),
+              MetricSpace.ellipsoid_space(EllipsoidNorm(np.diag([1.0, 2.0, 3.0]))),
+              MetricSpace.polytope(rng.standard_normal((5, 3))))
+    diffs = rng.standard_normal((4, 5, 3))
+    diffs[0, 0] = 0.0
+    for space in spaces:
+        norms, grads = pair_norms(space, diffs)
+        assert norms.shape == (4, 5) and grads.shape == (4, 5, 3)
+        for i, j in itertools.product(range(4), range(5)):
+            assert norms[i, j] == pytest.approx(space.gauge(diffs[i, j]), rel=1e-15, abs=0)
+            np.testing.assert_allclose(grads[i, j], space.gauge_subgradient(diffs[i, j]),
+                                       rtol=1e-15, atol=0)
+    with pytest.raises(UnsupportedSpace):
+        pair_norms(path_metric_four_cycle(), diffs)
+    with pytest.raises(DimensionMismatch):
+        pair_norms(spaces[0], diffs[..., :2])
+
+
+def test_one_dimensional_polytope_is_an_interval():
+    space = MetricSpace.polytope([[2.0]])
+    assert space.gauge([-3.0]) == 1.5
+    assert space.gauge_subgradient([-3.0]).tolist() == [-0.5]
+
+
+def test_polytope_dimension_cap_precedes_qhull(monkeypatch):
+    import scipy.spatial
+
+    def no_qhull(points):
+        raise AssertionError("Qhull ran")
+
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", no_qhull)
+    with pytest.raises(AssertionError):  # the patch does reach the hull call
+        MetricSpace.polytope(np.eye(3))
+    with pytest.raises(UnsupportedSpace, match="d = 12"):
+        MetricSpace.polytope(np.eye(13))
+
+
+def test_qhull_failure_is_degenerate_span(monkeypatch):
+    import scipy.spatial
+
+    def failing_hull(points):
+        raise scipy.spatial.QhullError("QH6154 initial simplex is flat")
+
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", failing_hull)
+    with pytest.raises(DegenerateSpan):
+        MetricSpace.polytope(np.eye(3))
 
 
 def test_config_distance_matrix_consistency():
