@@ -17,6 +17,8 @@ import functools
 import hashlib
 import json
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -99,8 +101,13 @@ def _emit(report: dict, config: dict, args) -> None:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     out = getattr(args, "output", None)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        # write over the old bytes and truncate after: truncating a written
+        # file to zero at open starts its writeback; only regular files can
+        # be truncated (not a pipe behind /dev/stdout)
+        with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+            fh.write(text.encode("utf-8"))
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
     else:
         sys.stdout.write(text)
 

@@ -2,8 +2,9 @@
 
 For an origin-symmetric convex body given by vertices, the MVEE yields a
 Hilbertian norm H with ||y||_H <= ||y||_X <= D_X ||y||_H and D_X <= sqrt(d).
-The ellipsoid is computed by Khachiyan's barycentric coordinate ascent in
-its symmetric form (ellipsoids centered at the origin).
+The ellipsoid (centered at the origin) is computed by vertex-exchange steps
+on the points with their negations folded in, keeping M^{-1} and the point
+levels current by rank-one updates.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ import numpy as np
 from .errors import DegenerateSpan, DimensionMismatch, NoConvergence, UnsupportedSpace
 from .spaces import POLYTOPE_DIM_CAP, EllipsoidNorm, MetricSpace, pair_norms
 
-KHACHIYAN_CAP = 100_000
+MVEE_CAP = 100_000
 MVEE_TOL = 1e-7
+MVEE_REFRESH = 100  # steps between exact recomputations of M^{-1} and the levels
 
 
 def hypercube_vertices(d: int) -> np.ndarray:
@@ -30,60 +32,78 @@ def crosspolytope_vertices(d: int) -> np.ndarray:
     return np.vstack([eye, -eye])
 
 
-def mvee(points, tol: float = MVEE_TOL, max_iters: int = KHACHIYAN_CAP) -> EllipsoidNorm:
+def mvee(points, tol: float = MVEE_TOL, max_iters: int = MVEE_CAP) -> EllipsoidNorm:
     """Minimum-volume origin-centered ellipsoid containing the given points
     and their negations.
 
-    Barycentric ascent with away steps: with M(u) = sum_i u_i p_i p_i^T,
-    either shift weight toward the point maximizing p^T M(u)^{-1} p or shift
-    it away from the supported point minimizing it, whichever deviates more
-    from d, until the maximum is within (1 + tol) of the dimension d.  The
-    ellipsoid is {y : y^T Q y <= 1} with Q = M^{-1}/d, rescaled so the
-    farthest point sits exactly on the boundary.
+    Vertex exchange on the D-optimal design dual (Boehning 1986): with
+    M(u) = sum_i u_i p_i p_i^T over the given points (p and -p share the
+    level p^T M^{-1} p and the term p p^T, so the negations are folded in),
+    each step moves weight from the supported point of least level to the
+    point of greatest level by the closed-form log-det line search, until the
+    greatest level is within (1 + tol) of the dimension d.  M^{-1} and the
+    levels follow each step by two rank-one (Sherman-Morrison) updates and
+    are recomputed exactly every MVEE_REFRESH steps and before convergence
+    is declared.  The ellipsoid is {y : y^T Q y <= 1} with Q = M^{-1}/d,
+    rescaled so the farthest point sits exactly on the boundary.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    pts = np.vstack([pts, -pts])
     m, d = pts.shape
-    if m < d + 1:
+    if 2 * m < d + 1:
         raise DegenerateSpan("need at least d + 1 points")
     if np.linalg.matrix_rank(pts) < d:
         raise DegenerateSpan("points do not span the ambient space")
     u = np.full(m, 1.0 / m)
+    bound = d * (1.0 + tol)
     converged = False
-    for _ in range(max_iters):
-        M = pts.T @ (u[:, None] * pts)
-        inv = np.linalg.inv(M)
-        levels = np.einsum("ij,jk,ik->i", pts, inv, pts)
+    for it in range(max_iters):
+        exact = it % MVEE_REFRESH == 0
+        if exact:
+            inv, levels = _exact_levels(pts, u)
         j_plus = int(np.argmax(levels))
-        top = levels[j_plus]
-        if top <= d * (1.0 + tol):
-            converged = True
-            break
-        low = np.where(u > 0, levels, np.inf)
-        j_minus = int(np.argmin(low))
-        bottom = low[j_minus]
-        if top - d >= d - bottom:
-            j = j_plus
-            beta = (top - d) / (d * (top - 1.0))
-        else:
-            j = j_minus
-            if bottom <= 1.0 or u[j] >= 1.0:
-                beta = -u[j] / max(1.0 - u[j], 1e-300)
-            else:
-                beta = max((bottom - d) / (d * (bottom - 1.0)),
-                           -u[j] / (1.0 - u[j]))
-        u = (1.0 - beta) * u
-        u[j] += beta
-        u = np.maximum(u, 0.0)
+        if levels[j_plus] <= bound:
+            if not exact:
+                inv, levels = _exact_levels(pts, u)
+                j_plus = int(np.argmax(levels))
+            if levels[j_plus] <= bound:
+                converged = True
+                break
+        j_minus = int(np.argmin(np.where(u > 0, levels, np.inf)))
+        g_plus, g_minus = levels[j_plus], levels[j_minus]
+        g_cross = pts[j_minus] @ inv @ pts[j_plus]
+        spread = g_plus * g_minus - g_cross * g_cross
+        step = u[j_minus]
+        if spread > 0:
+            step = min(step, (g_plus - g_minus) / (2.0 * spread))
+        u[j_plus] += step
+        u[j_minus] -= step
+        _rank_one_update(inv, levels, pts, pts[j_plus], step)
+        _rank_one_update(inv, levels, pts, pts[j_minus], -step)
     if not converged:
-        raise NoConvergence(f"Khachiyan ascent exhausted {max_iters} iterations")
-    Q = np.linalg.inv(pts.T @ (u[:, None] * pts)) / d
+        raise NoConvergence(f"vertex-exchange MVEE exhausted {max_iters} iterations")
+    Q = inv / d  # inv was recomputed exactly from the final weights
     Q = (Q + Q.T) / 2.0
     # push the boundary out to the farthest point so containment is exact
     worst = float(np.max(np.einsum("ij,jk,ik->i", pts, Q, pts)))
     if worst > 1.0:
         Q = Q / worst
     return EllipsoidNorm(Q)
+
+
+def _exact_levels(pts: np.ndarray, u: np.ndarray) -> tuple:
+    """M(u)^{-1} and the levels p_i^T M(u)^{-1} p_i, computed from scratch."""
+    inv = np.linalg.inv(pts.T @ (u[:, None] * pts))
+    return inv, np.einsum("ij,jk,ik->i", pts, inv, pts)
+
+
+def _rank_one_update(inv: np.ndarray, levels: np.ndarray, pts: np.ndarray,
+                     p: np.ndarray, c: float) -> None:
+    """Update M^{-1} and the levels in place for M += c p p^T."""
+    v = inv @ p
+    scale = c / (1.0 + c * (p @ v))
+    w = pts @ v
+    inv -= scale * np.outer(v, v)
+    levels -= scale * w * w
 
 
 def hilbert_distance(space: MetricSpace, tol: float = MVEE_TOL,

@@ -165,11 +165,16 @@ def pair_norms(space: MetricSpace, diffs) -> tuple:
         safe = np.where(norms > 0, norms, 1.0)
         grads = diffs / safe[..., None]
     elif space.kind == "lp_norm" and np.isinf(space.p):
-        top = np.argmax(np.abs(diffs), axis=-1)[..., None]
-        vals = np.take_along_axis(diffs, top, axis=-1)
-        norms = np.abs(vals[..., 0])
-        grads = np.zeros_like(diffs)
-        np.put_along_axis(grads, top, np.where(vals != 0, np.sign(vals), 1.0), axis=-1)
+        # row-wise fancy indexing on the flattened batch: both numpy's
+        # max-reduction over a short last axis and *_along_axis cost more
+        flat = diffs.reshape(-1, space.dim)
+        rows = np.arange(flat.shape[0])
+        top = np.argmax(np.abs(flat), axis=-1)
+        vals = flat[rows, top]
+        norms = np.abs(vals).reshape(diffs.shape[:-1])
+        grads = np.zeros_like(flat)
+        grads[rows, top] = np.where(vals != 0, np.sign(vals), 1.0)
+        grads = grads.reshape(diffs.shape)
     elif space.kind == "lp_norm" and space.p == 1.0:
         norms = np.sum(np.abs(diffs), axis=-1)
         grads = np.sign(diffs)
@@ -192,13 +197,26 @@ def pair_norms(space: MetricSpace, diffs) -> tuple:
 
 
 def _symmetrize_vertices(v: np.ndarray) -> np.ndarray:
+    """The rows of v and -v in order, less each row that is
+    np.allclose(row, kept, atol=1e-12) to an earlier kept row."""
     stacked = np.vstack([v, -v])
-    # drop near-duplicates (order-preserving)
-    uniq = []
-    for row in stacked:
-        if not any(np.allclose(row, u, atol=1e-12) for u in uniq):
-            uniq.append(row)
-    return np.array(uniq)
+    m = stacked.shape[0]
+    # closeness to earlier rows, in row blocks of about 2^20 entries so the
+    # temporaries stay small for large vertex sets
+    block = max(1, 2**20 // (m * stacked.shape[1]))
+    rows, cols = [], []
+    for lo in range(0, m, block):
+        near = np.all(np.isclose(stacked[lo:lo + block, None, :], stacked[None, :, :],
+                                 atol=1e-12), axis=-1)
+        i, j = np.nonzero(np.tril(near, lo - 1))
+        rows.append(i + lo)
+        cols.append(j)
+    keep = np.ones(m, dtype=bool)
+    # pairs come sorted by row, so keep[j] is final when row i > j is decided
+    for i, j in zip(np.concatenate(rows), np.concatenate(cols)):
+        if keep[j]:
+            keep[i] = False
+    return stacked[keep]
 
 
 def _validate_finite_metric(dist, positive: bool = False) -> np.ndarray:

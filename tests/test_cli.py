@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nsgap
 from nsgap import cli, markov
 from nsgap.spaces import MetricSpace, space_to_json
 
@@ -133,6 +137,27 @@ def test_csv_format(tmp_path, flip_chain_file, hilbert_space_file):
     lines = out.read_text().splitlines()
     assert lines[0] == "key,value"
     assert any(line.startswith("value,0.5") for line in lines)
+
+
+def test_output_overwrites_longer_file_exactly(tmp_path):
+    bounds = ["bounds", "--formula", "distortion", "--n", "16", "--d", "4",
+              "--gamma", "2.0", "--q", "2.0"]
+    _, fresh = run_to_file(tmp_path, bounds, name="fresh.json")
+    reused = tmp_path / "reused.json"
+    reused.write_bytes(b"x" * (len(fresh.read_bytes()) + 4096))
+    assert cli.run(bounds + ["--output", str(reused)]) == 0
+    assert reused.read_bytes() == fresh.read_bytes()
+    assert json.loads(fresh.read_text())["report"]["value"] > 0
+
+
+def test_output_to_stdout_pipe(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nsgap.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nsgap.cli", "expander", "--n", "16", "--d", "3",
+         "--output", "/dev/stdout"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout)["report"]["graph"]["n"] == 16
 
 
 def test_unknown_subcommand_exit_64(capsys):

@@ -1,10 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from nsgap import john
-from nsgap.errors import DegenerateSpan
+from nsgap.errors import DegenerateSpan, NoConvergence
 from nsgap.spaces import MetricSpace
 
 
@@ -24,6 +25,90 @@ def test_mvee_random_cloud_containment():
     ell = john.mvee(pts)
     levels = np.einsum("ij,jk,ik->i", pts, ell.Q, pts)
     assert np.max(levels) <= 1.0 + 1e-6
+
+
+def _khachiyan_reference(points, tol=john.MVEE_TOL, max_iters=john.MVEE_CAP):
+    """Q of the away-step Khachiyan ascent over the points and their
+    negations, rescaled to contain them; kept as the reference."""
+    pts = np.asarray(points, dtype=float)
+    pts = np.vstack([pts, -pts])
+    m, d = pts.shape
+    u = np.full(m, 1.0 / m)
+    for _ in range(max_iters):
+        inv = np.linalg.inv(pts.T @ (u[:, None] * pts))
+        levels = np.einsum("ij,jk,ik->i", pts, inv, pts)
+        j_plus = int(np.argmax(levels))
+        top = levels[j_plus]
+        if top <= d * (1.0 + tol):
+            break
+        low = np.where(u > 0, levels, np.inf)
+        j_minus = int(np.argmin(low))
+        bottom = low[j_minus]
+        if top - d >= d - bottom:
+            j = j_plus
+            beta = (top - d) / (d * (top - 1.0))
+        else:
+            j = j_minus
+            if bottom <= 1.0 or u[j] >= 1.0:
+                beta = -u[j] / max(1.0 - u[j], 1e-300)
+            else:
+                beta = max((bottom - d) / (d * (bottom - 1.0)), -u[j] / (1.0 - u[j]))
+        u = (1.0 - beta) * u
+        u[j] += beta
+        u = np.maximum(u, 0.0)
+    else:
+        raise AssertionError("reference did not converge")
+    Q = np.linalg.inv(pts.T @ (u[:, None] * pts)) / d
+    Q = (Q + Q.T) / 2.0
+    return Q / max(1.0, float(np.max(np.einsum("ij,jk,ik->i", pts, Q, pts))))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_mvee_matches_khachiyan_reference(d):
+    rng = np.random.default_rng(d)
+    for trial in range(3):
+        pts = rng.standard_normal((10 * d + 5 * trial, d)) * rng.uniform(0.5, 2.0, size=d)
+        Q = john.mvee(pts).Q
+        ref = _khachiyan_reference(pts)
+        logdet, ref_logdet = np.linalg.slogdet(Q)[1], np.linalg.slogdet(ref)[1]
+        assert abs(logdet - ref_logdet) <= 1e-6 * abs(ref_logdet)
+        assert np.max(np.einsum("ij,jk,ik->i", pts, Q, pts)) <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_mvee_regular_polytopes_stop_at_step_zero(d):
+    cube = john.mvee(john.hypercube_vertices(d), max_iters=1)
+    np.testing.assert_allclose(cube.Q, np.eye(d) / d, rtol=1e-15, atol=0)
+    cross = john.mvee(john.crosspolytope_vertices(d), max_iters=1)
+    np.testing.assert_allclose(cross.Q, np.eye(d), rtol=1e-15, atol=0)
+
+
+def test_mvee_iteration_cap_raises():
+    pts = np.random.default_rng(7).standard_normal((40, 3))
+    with pytest.raises(NoConvergence):
+        john.mvee(pts, max_iters=1)
+    john.mvee(pts)  # the same cloud converges without the cap
+
+
+def test_hilbert_distance_sampled_l3_plane_converges():
+    start = time.process_time()
+    out = john.hilbert_distance(MetricSpace.lp(3.0, 2))
+    assert time.process_time() - start < 1.0
+    # the John ellipse of the l_3 disc is the Euclidean disc of radius 2^(1/6)
+    assert out["D_X"] == pytest.approx(2.0 ** (1.0 / 6.0), rel=0.01)
+
+
+def test_rank_one_update_matches_exact_levels():
+    rng = np.random.default_rng(8)
+    pts = rng.standard_normal((30, 4))
+    u = rng.dirichlet(np.ones(30))
+    inv, levels = john._exact_levels(pts, u)
+    for j, c in ((3, 0.2), (17, -0.5 * u[17])):
+        john._rank_one_update(inv, levels, pts, pts[j], c)
+        u[j] += c
+        want_inv, want_levels = john._exact_levels(pts, u)
+        np.testing.assert_allclose(inv, want_inv, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(levels, want_levels, rtol=1e-10)
 
 
 def test_mvee_rejects_flat_cloud():

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from nsgap.errors import (
     LengthMismatch,
     UnsupportedSpace,
 )
+from nsgap import spaces as spaces_module
 from nsgap.spaces import (
     Configuration,
     EllipsoidNorm,
@@ -212,6 +214,67 @@ def test_pair_norms_match_per_vector_gauge_for_every_kind():
         pair_norms(path_metric_four_cycle(), diffs)
     with pytest.raises(DimensionMismatch):
         pair_norms(spaces[0], diffs[..., :2])
+
+
+def _linf_reference(diffs):
+    """The take/put-along-axis l_inf kernel, kept as the reference."""
+    top = np.argmax(np.abs(diffs), axis=-1)[..., None]
+    vals = np.take_along_axis(diffs, top, axis=-1)
+    grads = np.zeros_like(diffs)
+    np.put_along_axis(grads, top, np.where(vals != 0, np.sign(vals), 1.0), axis=-1)
+    return np.abs(vals[..., 0]), grads
+
+
+def test_linf_pair_norms_bit_identical_to_reference():
+    rng = np.random.default_rng(11)
+    for shape in ((3,), (7, 2), (4, 4, 3), (2, 3, 5, 4), (0, 3)):
+        space = MetricSpace.lp(float("inf"), shape[-1])
+        for diffs in (rng.standard_normal(shape),
+                      rng.integers(-2, 3, size=shape).astype(float),  # ties, zeros
+                      np.zeros(shape), -np.zeros(shape)):
+            got, want = pair_norms(space, diffs), _linf_reference(diffs)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _symmetrize_reference(v):
+    """The pairwise np.allclose loop, kept as the reference."""
+    uniq = []
+    for row in np.vstack([v, -v]):
+        if not any(np.allclose(row, u, atol=1e-12) for u in uniq):
+            uniq.append(row)
+    return np.array(uniq)
+
+
+def test_symmetrize_vertices_matches_allclose_loop():
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        m, d = rng.integers(1, 16), rng.integers(1, 5)
+        v = rng.standard_normal((m, d))
+        picks = rng.integers(0, m, size=rng.integers(0, m + 1))
+        # near-duplicates on both sides of rtol = 1e-5, exact ones and negations
+        scale = 1.0 + rng.choice([0.0, 1e-13, 1e-7, 9e-6, 1.000005e-5, 2e-5, 1e-3], size=(picks.size, 1))
+        # chains a ~ b ~ c with a, c apart: c is kept, as it is close to no kept row
+        chain = [v[picks[:3]] * (1.0 + k * 8e-6) for k in (1, 2)]
+        v = np.vstack([v, v[picks] * scale, *chain, -v[: rng.integers(0, m + 1)],
+                       np.zeros((rng.integers(0, 2), d))])
+        v = v[rng.permutation(len(v))]
+        got, want = spaces_module._symmetrize_vertices(v), _symmetrize_reference(v)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_large_polytope_builds_quickly():
+    MetricSpace.polytope(np.eye(3))  # loads Qhull before the clock starts
+    rng = np.random.default_rng(6)
+    v = rng.standard_normal((240, 3))
+    v = np.vstack([v, v[rng.integers(0, 240, size=60)]])[rng.permutation(300)]
+    start = time.process_time()
+    space = MetricSpace.polytope(v)
+    assert time.process_time() - start < 0.5
+    # exact repeats are the only near-duplicates: the first copy of each stays
+    stacked = np.vstack([v, -v])
+    first = np.sort(np.unique(stacked, axis=0, return_index=True)[1])
+    np.testing.assert_array_equal(space.vertices, stacked[first])
 
 
 def test_one_dimensional_polytope_is_an_interval():
