@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     InvalidPower,
@@ -52,9 +53,13 @@ class SpectralData:
 
 
 def _stationary_vector(A: np.ndarray) -> np.ndarray:
-    """Solve pi A = pi, sum(pi) = 1 by a direct least-squares solve; a
-    solution that is not a strictly positive stationary vector means the
-    chain is reducible."""
+    """Solve pi A = pi, sum(pi) = 1 by a direct least-squares solve.  An edge
+    leaving a strongly connected class of the support marks transient states,
+    which rule out a strictly positive solution, so the solve is skipped."""
+    _, labels = connected_components(A > 0, connection="strong")
+    src, dst = np.nonzero(A > 0)
+    if np.any(labels[src] != labels[dst]):
+        raise NoPositiveStationary("chain has transient states (reducible)")
     n = A.shape[0]
     system = np.vstack([A.T - np.eye(n), np.ones((1, n))])
     rhs = np.zeros(n + 1)

@@ -15,7 +15,6 @@ the Markov type ratio used to cross-check all of them.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -50,7 +49,7 @@ ZERO_QUOTIENT = 1e-14
 @dataclass(frozen=True)
 class GapEstimate:
     value: float  # in (0, inf]
-    kind: str  # exact_hilbert | brute_force | heuristic_lower_bound | upper_bound_thm4
+    kind: str  # exact_hilbert | brute_force | heuristic_lower_bound
     p: float
     witness: Optional[object] = None  # Configuration, or a pair for the absolute gap
 
@@ -103,78 +102,73 @@ def gamma_hilbert_exact(chain: StochasticChain) -> GapEstimate:
 
 # --- exhaustive enumeration over finite metrics -----------------------------
 
-def _enum_configs(m: int, n: int) -> np.ndarray:
-    return np.array(list(itertools.product(range(m), repeat=n)), dtype=int)
+_ENUM_CHUNK = 2**14  # configurations scanned per block
 
 
-def gamma_bruteforce(chain: StochasticChain, space: MetricSpace, p: float) -> GapEstimate:
-    """Exact gap by enumerating every configuration of a small finite metric."""
+def _enumerate(chain: StochasticChain, space: MetricSpace, p: float, pairs: bool):
+    """Largest den/num over [m]^N in row-major order, and the digits of its
+    first configuration (inf at the first live one with a zero numerator).
+
+    N = n for the gap; N = 2n for the absolute gap, whose pair (x, y) is one
+    configuration where digit i of x meets digit n + j of y.  The last L
+    digits vary inside a block of m^L <= _ENUM_CHUNK configurations, so
+    memory stays O(N _ENUM_CHUNK).
+    """
     _check_p(p)
     if space.kind != "finite":
         raise UnsupportedSpace("enumeration requires a finite metric")
     if not chain.reversible:
         raise NotReversibleChain("gap enumeration requires a reversible chain")
     m, n = space.n_points, chain.n
-    if m > 8 or n > 6 or m**n > ENUM_CAP:
-        raise InstanceTooLarge(f"enumeration size {m}^{n} exceeds the cap")
+    off, N = (n, 2 * n) if pairs else (0, n)
+    if m > 8 or n > 6 or m**N > ENUM_CAP:
+        raise InstanceTooLarge(f"enumeration size {m}^{N} exceeds the cap")
     powered = (space.dist**space.theta) ** p
-    configs = _enum_configs(m, n)
-    w = chain.pi[:, None] * chain.A
-    u = np.outer(chain.pi, chain.pi)
-    num = np.zeros(configs.shape[0])
-    den = np.zeros(configs.shape[0])
-    for i in range(n):
-        for j in range(n):
-            vals = powered[configs[:, i], configs[:, j]]
-            num += w[i, j] * vals
-            den += u[i, j] * vals
-    live = den > 0
-    scale = max(float(np.max(powered)), 1e-300)
-    zero_num = live & (num <= ZERO_QUOTIENT * scale)
-    if np.any(zero_num):
-        k = int(np.argmax(zero_num))
-        witness = Configuration(space, configs[k])
-        return GapEstimate(value=float("inf"), kind="brute_force", p=p, witness=witness)
-    ratios = np.where(live, den / np.where(live, num, 1.0), -np.inf)
-    k = int(np.argmax(ratios))
-    witness = Configuration(space, configs[k])
-    return GapEstimate(value=float(ratios[k]), kind="brute_force", p=p, witness=witness)
+    w, u = chain.pi[:, None] * chain.A, np.outer(chain.pi, chain.pi)
+    threshold = ZERO_QUOTIENT * max(float(np.max(powered)), 1e-300)
+    L = max(L for L in range(N + 1) if m**L <= _ENUM_CHUNK)
+    size = m**L
+    cfg = np.empty((N, size), dtype=np.intp)
+    cfg[N - L:] = np.indices((m,) * L).reshape(L, size)
+    rows, idx = np.empty((n, size), dtype=np.intp), np.empty(size, dtype=np.intp)
+    vals, tmp, num, den = (np.empty(size) for _ in range(4))
+    best, best_k = -np.inf, -1
+    for h, head in enumerate(np.ndindex((m,) * (N - L))):
+        cfg[:N - L] = np.reshape(head, (-1, 1))
+        num[:] = den[:] = 0.0
+        np.multiply(cfg[:n], m, out=rows)
+        for i in range(n):
+            for j in range(n):
+                np.add(rows[i], cfg[off + j], out=idx)
+                np.take(powered, idx, out=vals)
+                num += np.multiply(vals, w[i, j], out=tmp)
+                den += np.multiply(vals, u[i, j], out=tmp)
+        live = den > 0
+        zero = live & (num <= threshold)
+        if zero.any():
+            best, best_k = float("inf"), h * size + int(np.argmax(zero))
+            break
+        ratio = np.where(live, den / np.where(live, num, 1.0), -np.inf)
+        k = int(np.argmax(ratio))
+        if ratio[k] > best:
+            best, best_k = float(ratio[k]), h * size + k
+    if best_k < 0:
+        raise ConstantConfiguration("every configuration is constant")
+    return best, np.array(np.unravel_index(best_k, (m,) * N))
+
+
+def gamma_bruteforce(chain: StochasticChain, space: MetricSpace, p: float) -> GapEstimate:
+    """Exact gap by enumerating every configuration of a small finite metric."""
+    value, digits = _enumerate(chain, space, p, pairs=False)
+    return GapEstimate(value=value, kind="brute_force", p=p, witness=Configuration(space, digits))
 
 
 def gamma_plus_bruteforce(chain: StochasticChain, space: MetricSpace, q: float) -> GapEstimate:
     """Exact absolute gap: sup over pairs (x, y) of
     sum pi_i pi_j d(x_i,y_j)^q / sum pi_i a_ij d(x_i,y_j)^q."""
-    _check_p(q)
-    if space.kind != "finite":
-        raise UnsupportedSpace("enumeration requires a finite metric")
-    if not chain.reversible:
-        raise NotReversibleChain("absolute gap enumeration requires a reversible chain")
-    m, n = space.n_points, chain.n
-    if m > 8 or n > 6 or m ** (2 * n) > ENUM_CAP:
-        raise InstanceTooLarge(f"pair enumeration size {m}^{2 * n} exceeds the cap")
-    powered = (space.dist**space.theta) ** q
-    configs = _enum_configs(m, n)
-    K = configs.shape[0]
-    w = chain.pi[:, None] * chain.A
-    u = np.outer(chain.pi, chain.pi)
-    num = np.zeros((K, K))
-    den = np.zeros((K, K))
-    for i in range(n):
-        for j in range(n):
-            vals = powered[configs[:, i][:, None], configs[None, :, j]]
-            num += w[i, j] * vals
-            den += u[i, j] * vals
-    live = den > 0
-    scale = max(float(np.max(powered)), 1e-300)
-    zero_num = live & (num <= ZERO_QUOTIENT * scale)
-    if np.any(zero_num):
-        a, b = np.unravel_index(int(np.argmax(zero_num)), num.shape)
-        witness = (Configuration(space, configs[a]), Configuration(space, configs[b]))
-        return GapEstimate(value=float("inf"), kind="brute_force", p=q, witness=witness)
-    ratios = np.where(live, den / np.where(live, num, 1.0), -np.inf)
-    a, b = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
-    witness = (Configuration(space, configs[a]), Configuration(space, configs[b]))
-    return GapEstimate(value=float(ratios[a, b]), kind="brute_force", p=q, witness=witness)
+    value, digits = _enumerate(chain, space, q, pairs=True)
+    witness = (Configuration(space, digits[:chain.n]), Configuration(space, digits[chain.n:]))
+    return GapEstimate(value=value, kind="brute_force", p=q, witness=witness)
 
 
 def abs_gap_sandwich_check(chain: StochasticChain, space: MetricSpace, q: float) -> dict:

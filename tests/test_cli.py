@@ -210,6 +210,19 @@ def test_unavailable_gap_exit_2(tmp_path, flip_chain_file):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [["gap", "--method", "brute", "--p", "1"],
+                                  ["gap-plus", "--q", "1"]])
+def test_one_point_metric_exit_2(tmp_path, flip_chain_file, capsys, argv):
+    """Every configuration of a one-point metric is constant: no certificate."""
+    space = tmp_path / "one_point.json"
+    space.write_text(json.dumps({"kind": "finite", "dist": [[0.0]]}))
+    code, out = run_to_file(tmp_path, argv + ["--chain", flip_chain_file,
+                                              "--space", str(space)])
+    assert code == 2
+    assert not out.exists()
+    assert "constant" in capsys.readouterr().err
+
+
 def test_oversized_polytope_exit_2(tmp_path, flip_chain_file):
     space = tmp_path / "poly13.json"
     space.write_text(json.dumps({"kind": "polytope", "vertices": np.eye(13).tolist()}))

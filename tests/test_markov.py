@@ -62,6 +62,20 @@ def test_large_reducible_chain_rejected_quickly():
     assert time.process_time() - start < 1.0
 
 
+def test_transient_states_rejected_before_the_solve(monkeypatch):
+    """An edge leaving a strongly connected class of the support marks
+    transient states; the chain is rejected without the dense solve."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("least-squares solve reached")
+
+    monkeypatch.setattr(markov.np.linalg, "lstsq", no_solve)
+    closed_pair_and_transient = np.array(
+        [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.2, 0.3, 0.5]])
+    for A in (np.array([[1.0, 0.0], [0.5, 0.5]]), closed_pair_and_transient):
+        with pytest.raises(NoPositiveStationary):
+            markov.build_reversible_chain(A)
+
+
 def test_nonreversible_is_flagged_not_raised():
     A = np.array([[0.0, 0.7, 0.3], [0.3, 0.0, 0.7], [0.7, 0.3, 0.0]])
     chain = markov.build_reversible_chain(A)

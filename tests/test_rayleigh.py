@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,114 @@ def test_gamma_bruteforce_caps():
     big = MetricSpace.finite(1.0 - np.eye(9) + np.eye(9) * 0.0)
     with pytest.raises(InstanceTooLarge):
         rayleigh.gamma_bruteforce(flip_chain(), big, 1.0)
+
+
+def _reference_enumeration(chain, space, p, pairs):
+    """The two enumerations before they shared one kernel: a full table of
+    configurations (K x K pairs for the absolute gap), an n^2 gather loop,
+    the zero-quotient test and a first-index arg-max.  Returns the value
+    (-inf when every configuration is constant) and the witness digits."""
+    m, n = space.n_points, chain.n
+    powered = (space.dist**space.theta) ** p
+    configs = np.array(list(itertools.product(range(m), repeat=n)), dtype=int)
+    K = configs.shape[0]
+    w = chain.pi[:, None] * chain.A
+    u = np.outer(chain.pi, chain.pi)
+    shape = (K, K) if pairs else (K,)
+    num, den = np.zeros(shape), np.zeros(shape)
+    for i in range(n):
+        for j in range(n):
+            if pairs:
+                vals = powered[configs[:, i][:, None], configs[None, :, j]]
+            else:
+                vals = powered[configs[:, i], configs[:, j]]
+            num += w[i, j] * vals
+            den += u[i, j] * vals
+    live = den > 0
+    scale = max(float(np.max(powered)), 1e-300)
+    zero_num = live & (num <= rayleigh.ZERO_QUOTIENT * scale)
+    if np.any(zero_num):
+        value, k = float("inf"), int(np.argmax(zero_num))
+    else:
+        ratios = np.where(live, den / np.where(live, num, 1.0), -np.inf)
+        k = int(np.argmax(ratios))
+        value = float(ratios.ravel()[k])
+    return value, np.concatenate([configs[c] for c in np.unravel_index(k, shape)])
+
+
+def _enumeration_instances():
+    rng = np.random.default_rng(12)
+    for trial in range(60):
+        m, n = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        if trial % 12 == 0:
+            chain = identity_chain(n)  # infinite gaps
+        elif trial % 12 == 6:  # tiny positive numerators, below the zero test
+            A = np.full((n, n), 1e-17) + (1.0 - n * 1e-17) * np.eye(n)
+            chain = markov.build_reversible_chain(A, np.full(n, 1.0 / n))
+        elif trial % 6 == 1:
+            chain = markov.build_reversible_chain(np.full((n, n), 1.0 / n))
+        else:
+            chain = markov.random_reversible_chain(n, rng)
+        if trial % 2:  # integer path metric: many tied quotients
+            dist = np.abs(np.subtract.outer(np.arange(m), np.arange(m))).astype(float)
+        else:
+            dist = rng.uniform(1.0, 2.0, size=(m, m))
+            dist = (dist + dist.T) / 2.0
+            np.fill_diagonal(dist, 0.0)
+        yield chain, MetricSpace.finite(dist), (1.0, 2.0, 3.5)[trial % 3]
+
+
+@pytest.mark.parametrize("chunk", [4, 64, 2**14])
+def test_enumeration_matches_reference_bit_for_bit(monkeypatch, chunk):
+    """Both public enumerations reproduce the reference value and witness
+    exactly; small chunks make the scan cross block boundaries."""
+    monkeypatch.setattr(rayleigh, "_ENUM_CHUNK", chunk)
+    kinds = set()
+    for chain, space, p in _enumeration_instances():
+        n = chain.n
+        value, digits = _reference_enumeration(chain, space, p, pairs=False)
+        est = rayleigh.gamma_bruteforce(chain, space, p)
+        assert est.value == value
+        np.testing.assert_array_equal(est.witness.points, digits)
+        if space.n_points ** (2 * n) > 5_000:
+            continue
+        value, digits = _reference_enumeration(chain, space, p, pairs=True)
+        est = rayleigh.gamma_plus_bruteforce(chain, space, p)
+        assert est.value == value
+        np.testing.assert_array_equal(est.witness[0].points, digits[:n])
+        np.testing.assert_array_equal(est.witness[1].points, digits[n:])
+        kinds.add(math.isinf(value))
+    assert kinds == {True, False}
+
+
+def test_degenerate_enumeration_raises():
+    """With every configuration constant there is no quotient to maximise;
+    the enumerations used to report -inf, which printed as "inf"."""
+    one_point = MetricSpace.finite(np.zeros((1, 1)))
+    with pytest.raises(ConstantConfiguration):
+        rayleigh.gamma_bruteforce(four_cycle(), one_point, 1.0)
+    with pytest.raises(ConstantConfiguration):
+        rayleigh.gamma_plus_bruteforce(four_cycle(), one_point, 2.0)
+    single_state = markov.build_reversible_chain(np.ones((1, 1)))
+    with pytest.raises(ConstantConfiguration):
+        rayleigh.gamma_bruteforce(single_state, two_point_metric(), 1.0)
+    assert rayleigh.gamma_plus_bruteforce(single_state, two_point_metric(), 1.0).value == 1.0
+
+
+def test_gamma_plus_at_the_cap_keeps_memory_bounded():
+    """m = n = 5 is 5^10 pairs; the full pair table peaked near 400 MB."""
+    rng = np.random.default_rng(13)
+    chain = markov.random_reversible_chain(5, rng)
+    dist = rng.uniform(1.0, 2.0, size=(5, 5))
+    space = MetricSpace.finite((dist + dist.T) / 2.0 - np.diag(np.diag(dist)))
+    tracemalloc.start()
+    try:
+        est = rayleigh.gamma_plus_bruteforce(chain, space, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(est.value) and est.value > 0
+    assert peak < 16 * 2**20
 
 
 # --- heuristic ----------------------------------------------------------------
