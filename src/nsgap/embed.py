@@ -4,12 +4,21 @@ Given a finite metric d, a probability weight mu and a snowflake exponent
 theta, the solver maximizes the weighted average of squared embedded
 distances subject to the pairwise Lipschitz caps
 
-    G_ii + G_jj - 2 G_ij <= d(i,j)^{2 theta},   G >= 0 (PSD),
+    G_ii + G_jj - 2 G_ij <= d(i,j)^{2 theta},   G >= 0 (PSD).
 
-by projected subgradient ascent on the Gram matrix, warm-started from
-classical multidimensional scaling.  The achieved quadratic average
-distortion is the Lipschitz certificate over the square root of the
-normalized average spread.
+This is the semidefinite program max <L_mu, G> with L_mu = diag(mu) - mu mu^T.
+Its dual is min sum_{i<j} y_ij d(i,j)^{2 theta} over y >= 0 with L_y >= L_mu,
+L_y the Laplacian of the weights y: the max-variance-unfolding /
+fastest-mixing pair of Sun, Boyd, Xiao and Diaconis (SIAM Review 2006).  A
+primal-dual interior-point method (HKM direction, Mehrotra predictor-
+corrector) solves both on the complement of the all-ones vector; when the
+caps admit an embedding that meets each of them with equality, classical
+MDS finds it exactly and the solve is skipped.  The Gram matrix is then
+rescaled onto the caps and its Lipschitz and spread certificates are
+recomputed from it.  Any y >= 0 bounds the spread from above, so the
+clipped dual weights certify a lower bound on the best quadratic average
+distortion; the achieved one is the Lipschitz certificate over the square
+root of the spread.
 """
 
 from __future__ import annotations
@@ -18,8 +27,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 
 from .errors import (
+    DimensionMismatch,
     EmptyDecomposition,
     NotReversibleChain,
     SizeMismatch,
@@ -30,9 +41,12 @@ from .errors import (
 from .markov import StochasticChain, spectral_data
 from .spaces import MetricSpace, _validate_finite_metric, pair_norms
 
-MAX_ITERS = 5000
-STALL_WINDOW = 200
-STALL_EPS = 1e-10
+# the Schur complement holds (n(n-1)/2)^2 doubles: 33 MB at 64 points
+EMBED_N_CAP = 64
+MAX_ITERS = 50
+IPM_TOL = 1e-6
+STEP_FRACTION = 0.95  # share of the step to the cone boundary that is taken
+SCHUR_BLOCK = 64  # pair rows of the Schur complement built at once
 
 
 @dataclass(frozen=True)
@@ -42,10 +56,14 @@ class GramEmbedding:
     lip_certificate: float  # max ||f_i - f_j|| / d(i,j)^theta
     spread_certificate: float  # avg squared embedded distance over avg d^{2 theta}
     iterations: int = 0
+    stop: str | None = None  # converged / stalled / iteration_cap
+    dual_bound: float = math.inf  # certified upper bound on the spread
+    dual_weights: np.ndarray | None = None  # n x n symmetric y, zero diagonal
 
     def __post_init__(self):
-        self.G.setflags(write=False)
-        self.factor.setflags(write=False)
+        for arr in (self.G, self.factor, self.dual_weights):
+            if arr is not None:
+                arr.setflags(write=False)
 
     @property
     def d_achieved(self) -> float:
@@ -53,7 +71,13 @@ class GramEmbedding:
             return float("inf")
         return self.lip_certificate / math.sqrt(self.spread_certificate)
 
+    @property
+    def d_lower(self) -> float:
+        """No map meeting every cap has a smaller quadratic average distortion."""
+        return 1.0 / math.sqrt(self.dual_bound)
+
     def to_json(self) -> dict:
+        weights = self.dual_weights
         return {
             "G": self.G.tolist(),
             "factor": self.factor.tolist(),
@@ -61,6 +85,11 @@ class GramEmbedding:
             "spread": self.spread_certificate,
             "D_achieved": "inf" if math.isinf(self.d_achieved) else self.d_achieved,
             "iterations": self.iterations,
+            "stop": self.stop,
+            "dual_bound": self.dual_bound,
+            "D_lower": self.d_lower,
+            "gap": self.dual_bound - self.spread_certificate,
+            "dual_weights": None if weights is None else weights.tolist(),
         }
 
 
@@ -68,19 +97,13 @@ def _check_weights(mu, n: int) -> np.ndarray:
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (n,):
         raise SizeMismatch("weights must match the point count")
-    if np.min(mu) <= 0:
-        raise ZeroWeight("weights must be strictly positive")
+    if not np.all(np.isfinite(mu)) or np.min(mu) <= 0:
+        raise ZeroWeight("weights must be finite and strictly positive")
     return mu / mu.sum()
 
 
 def _euclidean_pair_norms(diffs: np.ndarray) -> np.ndarray:
     return pair_norms(MetricSpace.lp(2.0, diffs.shape[-1]), diffs)[0]
-
-
-def _psd_project(G: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh((G + G.T) / 2.0)
-    vals = np.maximum(vals, 0.0)
-    return (vecs * vals) @ vecs.T
 
 
 def _sq_dists(G: np.ndarray) -> np.ndarray:
@@ -98,10 +121,137 @@ def _feasible_rescale(G: np.ndarray, caps: np.ndarray) -> np.ndarray:
     return G * s
 
 
+def _psd_factor(G: np.ndarray) -> np.ndarray:
+    """F with F F^T the PSD part of G, columns by decreasing eigenvalue;
+    eigenvalues up to 1e-12 are dropped (one zero column if none is left)."""
+    vals, vecs = np.linalg.eigh(G)
+    order = np.argsort(vals)[::-1]
+    keep = order[vals[order] > 1e-12]
+    factor = vecs[:, keep] * np.sqrt(vals[keep])
+    return factor if factor.shape[1] else np.zeros((G.shape[0], 1))
+
+
+def _centered_basis(n: int) -> np.ndarray:
+    """Orthonormal basis of the complement of the all-ones vector: the last
+    n - 1 columns of the Householder reflection that maps e_1 onto it."""
+    v = np.full(n, 1.0 / math.sqrt(n))
+    v[0] -= 1.0
+    return (np.eye(n) - np.outer(v, 2.0 * v / (v @ v)))[:, 1:]
+
+
+def _laplacian(y: np.ndarray, I: np.ndarray, J: np.ndarray, n: int) -> np.ndarray:
+    W = np.zeros((n, n))
+    W[I, J] = y
+    W += W.T
+    return np.diag(W.sum(axis=1)) - W
+
+
+def _pair_values(K: np.ndarray, I: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """(e_i - e_j)^T K (e_i - e_j) for every pair (i, j)."""
+    return K[I, I] + K[J, J] - K[I, J] - K[J, I]
+
+
+def _schur(G: np.ndarray, K: np.ndarray, I: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """The Hadamard product of the pair Gram matrices of G and K, entry (k, l)
+    the product of (e_i - e_j)^T G (e_p - e_q) and the same for K, over pairs
+    k = (i, j) and l = (p, q).  Built in row blocks, so the result is the
+    only m x m array."""
+    HG, HK = G[:, I] - G[:, J], K[:, I] - K[:, J]
+    M = np.empty((I.size, I.size))
+    for lo in range(0, I.size, SCHUR_BLOCK):
+        i, j = I[lo:lo + SCHUR_BLOCK], J[lo:lo + SCHUR_BLOCK]
+        np.multiply(HG[i] - HG[j], HK[i] - HK[j], out=M[lo:lo + SCHUR_BLOCK])
+    return M
+
+
+def _cone_step(x: np.ndarray, dx: np.ndarray) -> float:
+    """Largest a with x + a dx in the cone: PSD for matrices, >= 0 for vectors."""
+    if x.ndim == 2:
+        low = eigh(dx, x, eigvals_only=True)[0]
+        return -1.0 / low if low < 0 else math.inf
+    neg = dx < 0
+    return float(np.min(-x[neg] / dx[neg])) if np.any(neg) else math.inf
+
+
+def _gram_ipm(C: np.ndarray, c: np.ndarray, V: np.ndarray, I: np.ndarray,
+              J: np.ndarray):
+    """Primal-dual interior-point solve of
+
+        max <C, X>  s.t.  a_k^T X a_k + w_k = c_k,  X >= 0,  w >= 0,
+        min c^T y   s.t.  Z = sum_k y_k a_k a_k^T - C >= 0,  y >= 0,
+
+    with a_k = V^T (e_i - e_j).  HKM direction (Helmberg, Rendl, Vanderbei
+    and Wolkowicz 1996) with Mehrotra's predictor-corrector; each direction
+    solves the pair-by-pair Schur system (A X A^T) o (A Z^-1 A^T) + diag(w/y).
+    Starts strictly feasible: X = xi I (a_k^T a_k = 2) and y = t 1
+    (sum_k a_k a_k^T = n I).  Returns X, y, the iterations and the stop
+    reason; a failed factorization keeps the last iterate."""
+    n, r = V.shape
+    eye = np.eye(r)
+    X = eye * (np.min(c) / 4.0)
+    w = c - 2.0 * X[0, 0]
+    y = np.full(c.size, 2.0 * np.max(np.linalg.eigvalsh(C)) / n)
+    Z = eye * (n * y[0]) - C
+    c_norm, C_norm = 1.0 + np.linalg.norm(c), 1.0 + np.linalg.norm(C)
+
+    def lift(M):
+        return V @ M @ V.T
+
+    for it in range(MAX_ITERS + 1):
+        rp = c - _pair_values(lift(X), I, J) - w
+        Rd = C + Z - V.T @ _laplacian(y, I, J, n) @ V
+        pobj, dobj = float(np.sum(C * X)), float(c @ y)
+        if (np.linalg.norm(rp) <= IPM_TOL * c_norm
+                and np.linalg.norm(Rd) <= IPM_TOL * C_norm
+                and abs(dobj - pobj) <= IPM_TOL * abs(dobj)):
+            return X, y, it, "converged"
+        if it == MAX_ITERS:
+            break
+        barrier = (float(np.sum(X * Z)) + float(w @ y)) / (r + c.size)
+        try:
+            Zinv = cho_solve(cho_factor(Z), eye)
+            M = _schur(lift(X), lift(Zinv), I, J)
+            M[np.diag_indices_from(M)] += w / y
+            factor = cho_factor(M.T, overwrite_a=True, check_finite=False)
+        except LinAlgError:
+            return X, y, it, "stalled"
+        XRd = X @ Rd
+
+        def direction(Rc, rc):
+            rhs = _pair_values(lift((Rc + XRd) @ Zinv), I, J) + rc / y - rp
+            dy = cho_solve(factor, rhs, check_finite=False)
+            dZ = V.T @ _laplacian(dy, I, J, n) @ V - Rd
+            dX = (Rc - X @ dZ) @ Zinv
+            return (dX + dX.T) / 2.0, (rc - w * dy) / y, dy, dZ
+
+        try:
+            dX, dw, dy, dZ = direction(-X @ Z, -w * y)
+            ap = min(1.0, _cone_step(X, dX), _cone_step(w, dw))
+            ad = min(1.0, _cone_step(Z, dZ), _cone_step(y, dy))
+            affine = (float(np.sum((X + ap * dX) * (Z + ad * dZ)))
+                      + float((w + ap * dw) @ (y + ad * dy))) / (r + c.size)
+            target = barrier * (affine / barrier) ** 3
+            dX, dw, dy, dZ = direction(target * eye - X @ Z - dX @ dZ,
+                                       target - w * y - dw * dy)
+            ap = min(1.0, STEP_FRACTION * min(_cone_step(X, dX), _cone_step(w, dw)))
+            ad = min(1.0, STEP_FRACTION * min(_cone_step(Z, dZ), _cone_step(y, dy)))
+        except LinAlgError:
+            return X, y, it, "stalled"
+        X, w = X + ap * dX, w + ap * dw
+        y, Z = y + ad * dy, Z + ad * dZ
+        X, Z = (X + X.T) / 2.0, (Z + Z.T) / 2.0
+        del M, factor  # free this Schur complement before the next one is built
+    return X, y, MAX_ITERS, "iteration_cap"
+
+
 def average_embed_hilbert(dist, mu, theta: float) -> GramEmbedding:
     """Maximize the mu-average of squared embedded distances subject to the
     snowflaked Lipschitz caps; returns the factorized embedding with its
-    Lipschitz and spread certificates."""
+    Lipschitz and spread certificates, the solver's stop reason and the
+    dual certificate (weights, spread bound and distortion lower bound)."""
+    dist = np.asarray(dist, dtype=float)
+    if dist.ndim == 2 and dist.shape[0] > EMBED_N_CAP:
+        raise DimensionMismatch(f"embeddings capped at {EMBED_N_CAP} points")
     dist = _validate_finite_metric(dist, positive=True)
     n = dist.shape[0]
     mu = _check_weights(mu, n)
@@ -109,66 +259,53 @@ def average_embed_hilbert(dist, mu, theta: float) -> GramEmbedding:
         raise UnsupportedSpace("snowflake exponent must be in (0, 1]")
     caps = dist ** (2.0 * theta)
     weight = np.outer(mu, mu)
-    grad = 2.0 * (np.diag(mu) - weight)  # gradient of the (linear) objective
     total = float(np.sum(weight * caps))
+    L_mu = np.diag(mu) - weight
+    I, J = np.triu_indices(n, 1)
 
     def objective(G):
         return float(np.sum(weight * _sq_dists(G)))
 
-    # classical MDS warm start with mu-weighted centering
-    J = np.eye(n) - np.outer(np.ones(n), mu)
-    G = _psd_project(-0.5 * J @ caps @ J.T)
-    G = _feasible_rescale(G, caps)
-    best_G, best_obj = G.copy(), objective(G)
-
-    step0 = float(np.mean(caps))
-    stale = 0
-    it = 0
-    for it in range(1, MAX_ITERS + 1):
-        G = G + (step0 / math.sqrt(it)) * grad
-        G = _psd_project(G)
-        if it % 10 == 0:
-            # exact projections onto violated Lipschitz halfspaces
-            sq = _sq_dists(G)
-            viol = np.argwhere(sq > caps + 1e-12)
-            for i, j in viol:
-                if i >= j:
-                    continue
-                gap = _sq_dists(G)[i, j] - caps[i, j]
-                if gap <= 0:
-                    continue
-                # constraint matrix (e_i - e_j)(e_i - e_j)^T, Frobenius norm 2
-                c = gap / 4.0
-                G[i, i] -= c
-                G[j, j] -= c
-                G[i, j] += c
-                G[j, i] += c
-            G = _psd_project(G)
-        candidate = _feasible_rescale(G, caps)
-        obj = objective(candidate)
-        if obj > best_obj + STALL_EPS:
-            best_G, best_obj = candidate.copy(), obj
-            stale = 0
-        else:
-            stale += 1
-            if stale >= STALL_WINDOW:
-                break
-    if best_obj <= 0:
+    G, y, it, stop = np.zeros((n, n)), np.zeros(I.size), 0, "converged"
+    if n >= 2:
+        # An embedding that meets every cap with equality has the largest
+        # possible spread, 1, which the weights y = 2 mu_i mu_j certify.
+        # Classical MDS finds it exactly when it exists.
+        centering = np.eye(n) - 1.0 / n
+        F = _psd_factor(-0.5 * centering @ caps @ centering)
+        G = _feasible_rescale(F @ F.T, caps)
+        y = 2.0 * weight[I, J]
+        if objective(G) < (1.0 - 1e-12) * total:
+            # the program is homogeneous in the caps: solve it with mean cap 1
+            scale = float(np.mean(caps[I, J]))
+            V = _centered_basis(n)
+            X, y, it, stop = _gram_ipm(V.T @ L_mu @ V, caps[I, J] / scale, V, I, J)
+            G_ipm = scale * (V @ X @ V.T)
+            G = max(G, _feasible_rescale((G_ipm + G_ipm.T) / 2.0, caps), key=objective)
+    obj = objective(G)
+    if obj <= 0:
         raise SolverStalled("no feasible iterate with positive spread found")
-
-    vals, vecs = np.linalg.eigh((best_G + best_G.T) / 2.0)
-    vals = np.maximum(vals, 0.0)
-    order = np.argsort(vals)[::-1]
-    keep = order[vals[order] > 1e-12]
-    factor = vecs[:, keep] * np.sqrt(vals[keep])
-    if factor.shape[1] == 0:
-        factor = np.zeros((n, 1))
-    sq = _sq_dists(best_G)
+    factor = _psd_factor(G)
+    sq = _sq_dists(G)
     off = ~np.eye(n, dtype=bool)
     lip = float(np.max(np.sqrt(np.maximum(sq[off], 0.0)) / dist[off] ** theta))
-    spread = best_obj / total
-    return GramEmbedding(G=best_G, factor=factor, lip_certificate=lip,
-                         spread_certificate=spread, iterations=it)
+
+    # <L_mu, G> <= s sum_{i<j} y_ij caps_ij for every feasible G, with s the
+    # top eigenvalue of the pencil (L_mu, L_y + a 11^T).  Every a > 0 gives
+    # the same s, since L_mu and L_y both vanish on the all-ones vector; the
+    # mean degree of L_y keeps the pencil as well conditioned as L_y itself.
+    weights = np.zeros((n, n))
+    weights[I, J] = np.maximum(y, 0.0)
+    weights += weights.T
+    L_y = np.diag(weights.sum(axis=1)) - weights
+    try:
+        s = eigh(L_mu, L_y + np.trace(L_y) / n**2, eigvals_only=True)[-1]
+        dual_bound = float(s * np.sum(weights * caps) / total)
+    except LinAlgError:
+        dual_bound = math.inf
+    return GramEmbedding(G=G, factor=factor, lip_certificate=lip,
+                         spread_certificate=obj / total, iterations=it, stop=stop,
+                         dual_bound=dual_bound, dual_weights=weights)
 
 
 def evaluate_average_distortion(points, dist, mu, q: float, theta: float) -> dict:

@@ -81,6 +81,8 @@ def build_reversible_chain(A, pi=None) -> StochasticChain:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NotStochastic("transition matrix must be square")
     n = A.shape[0]
+    if not np.all(np.isfinite(A)):
+        raise NotStochastic("transition matrix has non-finite entries")
     if np.min(A) < -ROW_SUM_TOL:
         raise NotStochastic("transition matrix has negative entries")
     row_err = np.max(np.abs(A.sum(axis=1) - 1.0))
@@ -92,6 +94,8 @@ def build_reversible_chain(A, pi=None) -> StochasticChain:
         pi = np.array(pi, dtype=float)
         if pi.shape != (n,):
             raise NoPositiveStationary("pi has wrong length")
+        if not np.all(np.isfinite(pi)):
+            raise NotStochastic("pi has non-finite entries")
         if abs(pi.sum() - 1.0) > 1e-9:
             raise NoPositiveStationary("pi must sum to 1")
         if not np.allclose(pi @ A, pi, atol=1e-9):

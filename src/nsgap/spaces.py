@@ -221,16 +221,18 @@ def _symmetrize_vertices(v: np.ndarray) -> np.ndarray:
 
 def _validate_finite_metric(dist, positive: bool = False) -> np.ndarray:
     """The distance matrix as a float array, once it is a square matrix of at
-    most FINITE_N_CAP points with a zero diagonal, symmetric, nonnegative
-    (strictly positive off the diagonal when `positive`) and satisfying the
-    triangle inequality.  The size cap is checked before the O(n^3) triangle
-    test allocates."""
+    most FINITE_N_CAP points with finite entries and a zero diagonal,
+    symmetric, nonnegative (strictly positive off the diagonal when
+    `positive`) and satisfying the triangle inequality.  The size cap is
+    checked before the O(n^3) triangle test allocates."""
     d = np.asarray(dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise DimensionMismatch("distance matrix must be square")
     n = d.shape[0]
     if n > FINITE_N_CAP:
         raise DimensionMismatch(f"finite metrics capped at {FINITE_N_CAP} points")
+    if not np.all(np.isfinite(d)):
+        raise NotAMetric("distances must be finite")
     if np.max(np.abs(np.diag(d))) > 1e-12:
         raise NotAMetric("distance matrix must have a zero diagonal")
     if np.max(np.abs(d - d.T)) > 1e-12:

@@ -87,6 +87,11 @@ def test_embed_then_verify_duality(tmp_path, lazy_cycle_file):
     assert code == 0
     emb = json.loads(emb_out.read_text())
     assert emb["report"]["D_achieved"] == pytest.approx(1.0, abs=1e-4)
+    assert emb["report"]["stop"] == "converged"
+    assert 0.0 <= emb["report"]["gap"] <= 1e-5 * emb["report"]["dual_bound"]
+    assert emb["report"]["D_lower"] <= emb["report"]["D_achieved"] * (1.0 + 1e-12)
+    weights = np.array(emb["report"]["dual_weights"])
+    assert np.array_equal(weights, weights.T) and np.all(np.diag(weights) == 0)
 
     code, dual_out = run_to_file(tmp_path, [
         "verify-duality", "--embedding", str(emb_out), "--chain", lazy_cycle_file,
@@ -96,6 +101,53 @@ def test_embed_then_verify_duality(tmp_path, lazy_cycle_file):
     dual = json.loads(dual_out.read_text())
     assert dual["report"]["product_ok"]
     assert dual["report"]["slack"] >= -1e-9
+
+
+def test_verify_duality_loads_report_without_solver_diagnostics(tmp_path, lazy_cycle_file):
+    """Embed reports written before the solver diagnostics existed carry no
+    stop, dual_bound, D_lower, gap or dual_weights; they still load."""
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]) - 0.5
+    report = {"G": (square @ square.T).tolist(), "factor": square.tolist(),
+              "lip": 1.0, "spread": 1.0, "D_achieved": 1.0, "iterations": 5000,
+              "provenance": "heuristic"}
+    emb = tmp_path / "old_emb.json"
+    emb.write_text(json.dumps({"command": "embed", "report": report}))
+    metric = tmp_path / "metric.json"
+    metric.write_text(json.dumps([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]))
+    code, out = run_to_file(tmp_path, [
+        "verify-duality", "--embedding", str(emb), "--chain", lazy_cycle_file,
+        "--metric", str(metric), "--theta", "0.5",
+    ])
+    assert code == 0
+    assert json.loads(out.read_text())["report"]["product_ok"]
+
+
+@pytest.mark.parametrize("case", ["chain_rows", "chain_pi", "metric_nan", "metric_inf",
+                                  "mu_nan"])
+def test_non_finite_input_exit_2(tmp_path, hilbert_space_file, case):
+    """NaN passes every `>` test, so each input validator checks finiteness
+    itself; a NaN chain row used to end in a LinAlgError traceback and a NaN
+    metric in an embedding with lip "nan" and exit 0."""
+    flip = [[0.0, 1.0], [1.0, 0.0]]
+    kind, payload = {
+        "chain_rows": ("chain", {"rows": [[math.nan, 1.0], [1.0, 0.0]]}),
+        "chain_pi": ("chain", {"rows": flip, "pi": [math.nan, 0.5]}),
+        "metric_nan": ("metric", [[0.0, math.nan], [math.nan, 0.0]]),
+        "metric_inf": ("metric", [[0.0, math.inf], [math.inf, 0.0]]),
+        "mu_nan": ("mu", [math.nan, 1.0]),
+    }[case]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(payload))  # NaN / Infinity literals, read back by json.load
+    metric = tmp_path / "flip_metric.json"
+    metric.write_text(json.dumps(flip))
+    argv = {
+        "chain": ["gap", "--chain", str(path), "--space", hilbert_space_file],
+        "metric": ["embed", "--metric", str(path)],
+        "mu": ["embed", "--metric", str(metric), "--mu", str(path)],
+    }[kind]
+    code, out = run_to_file(tmp_path, argv)
+    assert code == 2
+    assert not out.exists()
 
 
 def test_expander_subcommand(tmp_path):
