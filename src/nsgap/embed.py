@@ -30,6 +30,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 
 from .errors import (
+    ConstantConfiguration,
     DimensionMismatch,
     EmptyDecomposition,
     NotReversibleChain,
@@ -254,6 +255,8 @@ def average_embed_hilbert(dist, mu, theta: float) -> GramEmbedding:
         raise DimensionMismatch(f"embeddings capped at {EMBED_N_CAP} points")
     dist = _validate_finite_metric(dist, positive=True)
     n = dist.shape[0]
+    if n < 2:
+        raise ConstantConfiguration("every embedding of a one-point metric is constant")
     mu = _check_weights(mu, n)
     if not (0.0 < theta <= 1.0):
         raise UnsupportedSpace("snowflake exponent must be in (0, 1]")
@@ -266,22 +269,20 @@ def average_embed_hilbert(dist, mu, theta: float) -> GramEmbedding:
     def objective(G):
         return float(np.sum(weight * _sq_dists(G)))
 
-    G, y, it, stop = np.zeros((n, n)), np.zeros(I.size), 0, "converged"
-    if n >= 2:
-        # An embedding that meets every cap with equality has the largest
-        # possible spread, 1, which the weights y = 2 mu_i mu_j certify.
-        # Classical MDS finds it exactly when it exists.
-        centering = np.eye(n) - 1.0 / n
-        F = _psd_factor(-0.5 * centering @ caps @ centering)
-        G = _feasible_rescale(F @ F.T, caps)
-        y = 2.0 * weight[I, J]
-        if objective(G) < (1.0 - 1e-12) * total:
-            # the program is homogeneous in the caps: solve it with mean cap 1
-            scale = float(np.mean(caps[I, J]))
-            V = _centered_basis(n)
-            X, y, it, stop = _gram_ipm(V.T @ L_mu @ V, caps[I, J] / scale, V, I, J)
-            G_ipm = scale * (V @ X @ V.T)
-            G = max(G, _feasible_rescale((G_ipm + G_ipm.T) / 2.0, caps), key=objective)
+    # An embedding that meets every cap with equality has the largest
+    # possible spread, 1, which the weights y = 2 mu_i mu_j certify.
+    # Classical MDS finds it exactly when it exists.
+    centering = np.eye(n) - 1.0 / n
+    F = _psd_factor(-0.5 * centering @ caps @ centering)
+    G = _feasible_rescale(F @ F.T, caps)
+    y, it, stop = 2.0 * weight[I, J], 0, "converged"
+    if objective(G) < (1.0 - 1e-12) * total:
+        # the program is homogeneous in the caps: solve it with mean cap 1
+        scale = float(np.mean(caps[I, J]))
+        V = _centered_basis(n)
+        X, y, it, stop = _gram_ipm(V.T @ L_mu @ V, caps[I, J] / scale, V, I, J)
+        G_ipm = scale * (V @ X @ V.T)
+        G = max(G, _feasible_rescale((G_ipm + G_ipm.T) / 2.0, caps), key=objective)
     obj = objective(G)
     if obj <= 0:
         raise SolverStalled("no feasible iterate with positive spread found")

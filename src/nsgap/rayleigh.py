@@ -102,56 +102,85 @@ def gamma_hilbert_exact(chain: StochasticChain) -> GapEstimate:
 
 # --- exhaustive enumeration over finite metrics -----------------------------
 
-_ENUM_CHUNK = 2**14  # configurations scanned per block
+_ENUM_CHUNK = 2**14  # configurations per block; a pair block holds >= m^(n+1)
+_MIN_RUN = 100  # broadcast adds over shorter contiguous runs ran up to 2x slower
+
+
+def _config_blocks(powered, w, u, m, n):
+    """Blocks over the last L digits; w_ij P[x_i, x_j] gathered in (i, j) order."""
+    L = max(L for L in range(n + 1) if m**L <= _ENUM_CHUNK)
+    size = m**L
+    cfg = np.empty((n, size), dtype=np.intp)
+    cfg[n - L:] = np.indices((m,) * L).reshape(L, size)
+    rows, idx = np.empty((n, size), dtype=np.intp), np.empty(size, dtype=np.intp)
+    vals, tmp, num, den = (np.empty(size) for _ in range(4))
+    for head in np.ndindex((m,) * (n - L)):
+        cfg[:n - L] = np.reshape(head, (-1, 1))
+        num[:] = den[:] = 0.0
+        np.multiply(cfg, m, out=rows)
+        for i in range(n):
+            for j in range(n):
+                np.add(rows[i], cfg[j], out=idx)
+                np.take(powered, idx, out=vals)
+                num += np.multiply(vals, w[i, j], out=tmp)
+                den += np.multiply(vals, u[i, j], out=tmp)
+        yield num, den
+
+
+def _pair_blocks(powered, w, u, m, n):
+    """Blocks of pairs: the last r >= 1 digits of x times all of y.  After
+    row i the row-major sum over (i, j) depends only on x_0..x_i and y, so
+    level i holds it for each x_i (and leaf digit of x before it) and each y.
+    A new head changes its last nonzero digit k, so levels k+1.. are redone.
+    Term (i, j) is w_ij P on the axes of x_i and y_j, added in runs >= _MIN_RUN."""
+    r = max((r for r in range(1, n + 1) if m ** (n + r) <= _ENUM_CHUNK), default=1)
+    H, t = n - r, next((t for t in range(1, n + 1) if m**t >= _MIN_RUN), n)
+    tables = np.stack([w, u])[:, :, :, None, None] * powered
+    terms = [[tables[:, i, j].reshape((2, 1, m) + (1,) * j + (m,) + (1,) * (n - 1 - j))
+              for j in range(n)] for i in range(n)]
+    for row in terms:
+        row[n - t:] = [np.broadcast_to(v, (2, 1, m) + (1,) * (n - t) + (m,) * t).copy()
+                       for v in row[n - t:]]
+    level = [np.empty((2, m ** max(i - H, 0), m) + (m,) * n) for i in range(n)]
+    for head in np.ndindex((m,) * H):
+        for i in range(1 + max((k for k in range(H) if head[k]), default=-1), n):
+            level[i][...] = (0.0 if i == 0 else
+                             level[i - 1][:, :, head[i - 1], None] if i <= H else
+                             level[i - 1].reshape((2, -1, 1) + (m,) * n))
+            for term in terms[i]:
+                level[i] += term
+        yield level[-1][0].ravel(), level[-1][1].ravel()
 
 
 def _enumerate(chain: StochasticChain, space: MetricSpace, p: float, pairs: bool):
     """Largest den/num over [m]^N in row-major order, and the digits of its
     first configuration (inf at the first live one with a zero numerator).
-
     N = n for the gap; N = 2n for the absolute gap, whose pair (x, y) is one
-    configuration where digit i of x meets digit n + j of y.  The last L
-    digits vary inside a block of m^L <= _ENUM_CHUNK configurations, so
-    memory stays O(N _ENUM_CHUNK).
-    """
+    configuration where digit i of x meets digit n + j of y.  Both scans
+    yield row-major (num, den) blocks of O(n _ENUM_CHUNK) memory."""
     _check_p(p)
     if space.kind != "finite":
         raise UnsupportedSpace("enumeration requires a finite metric")
     if not chain.reversible:
         raise NotReversibleChain("gap enumeration requires a reversible chain")
-    m, n = space.n_points, chain.n
-    off, N = (n, 2 * n) if pairs else (0, n)
+    m, n, N = space.n_points, chain.n, chain.n * (2 if pairs else 1)
     if m > 8 or n > 6 or m**N > ENUM_CAP:
         raise InstanceTooLarge(f"enumeration size {m}^{N} exceeds the cap")
     powered = (space.dist**space.theta) ** p
     w, u = chain.pi[:, None] * chain.A, np.outer(chain.pi, chain.pi)
     threshold = ZERO_QUOTIENT * max(float(np.max(powered)), 1e-300)
-    L = max(L for L in range(N + 1) if m**L <= _ENUM_CHUNK)
-    size = m**L
-    cfg = np.empty((N, size), dtype=np.intp)
-    cfg[N - L:] = np.indices((m,) * L).reshape(L, size)
-    rows, idx = np.empty((n, size), dtype=np.intp), np.empty(size, dtype=np.intp)
-    vals, tmp, num, den = (np.empty(size) for _ in range(4))
-    best, best_k = -np.inf, -1
-    for h, head in enumerate(np.ndindex((m,) * (N - L))):
-        cfg[:N - L] = np.reshape(head, (-1, 1))
-        num[:] = den[:] = 0.0
-        np.multiply(cfg[:n], m, out=rows)
-        for i in range(n):
-            for j in range(n):
-                np.add(rows[i], cfg[off + j], out=idx)
-                np.take(powered, idx, out=vals)
-                num += np.multiply(vals, w[i, j], out=tmp)
-                den += np.multiply(vals, u[i, j], out=tmp)
+    best, best_k, start = -np.inf, -1, 0
+    for num, den in (_pair_blocks if pairs else _config_blocks)(powered, w, u, m, n):
         live = den > 0
         zero = live & (num <= threshold)
         if zero.any():
-            best, best_k = float("inf"), h * size + int(np.argmax(zero))
+            best, best_k = float("inf"), start + int(np.argmax(zero))
             break
         ratio = np.where(live, den / np.where(live, num, 1.0), -np.inf)
         k = int(np.argmax(ratio))
         if ratio[k] > best:
-            best, best_k = float(ratio[k]), h * size + k
+            best, best_k = float(ratio[k]), start + k
+        start += num.size
     if best_k < 0:
         raise ConstantConfiguration("every configuration is constant")
     return best, np.array(np.unravel_index(best_k, (m,) * N))

@@ -275,6 +275,25 @@ def test_one_point_metric_exit_2(tmp_path, flip_chain_file, capsys, argv):
     assert "constant" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["embed"],
+    ["verify-duality", "--embedding", "emb.json", "--chain", "one_state.json", "--theta", "0.5"],
+])
+def test_one_point_metric_embedding_exit_2(tmp_path, capsys, argv):
+    """A one-point metric embeds only as a constant, which has no spread;
+    embed used to report that as a numerical failure (exit 3)."""
+    (tmp_path / "one_point.json").write_text("[[0.0]]")
+    (tmp_path / "one_state.json").write_text('{"rows": [[1.0]]}')
+    (tmp_path / "emb.json").write_text(json.dumps({"report": {
+        "G": [[0.0]], "factor": [[0.0]], "lip": 0.0, "spread": 1.0}}))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    code, out = run_to_file(tmp_path, argv + ["--metric", str(tmp_path / "one_point.json")])
+    assert code == 2
+    assert not out.exists()
+    if argv[0] == "embed":
+        assert "constant" in capsys.readouterr().err
+
+
 def test_oversized_polytope_exit_2(tmp_path, flip_chain_file):
     space = tmp_path / "poly13.json"
     space.write_text(json.dumps({"kind": "polytope", "vertices": np.eye(13).tolist()}))

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -207,6 +208,103 @@ def test_degenerate_enumeration_raises():
     assert rayleigh.gamma_plus_bruteforce(single_state, two_point_metric(), 1.0).value == 1.0
 
 
+def _chunked_pair_reference(chain, space, p, chunk=2**14):
+    """The absolute-gap scan before it shared partial sums between pairs:
+    blocks of at most `chunk` pairs in row-major (x, y) order, each summing
+    the n^2 gathered terms w_ij P[x_i, y_j] in row-major (i, j) order."""
+    m, n = space.n_points, chain.n
+    powered = (space.dist**space.theta) ** p
+    w, u = chain.pi[:, None] * chain.A, np.outer(chain.pi, chain.pi)
+    threshold = rayleigh.ZERO_QUOTIENT * max(float(np.max(powered)), 1e-300)
+    L = max(L for L in range(2 * n + 1) if m**L <= chunk)
+    size = m**L
+    cfg = np.empty((2 * n, size), dtype=np.intp)
+    cfg[2 * n - L:] = np.indices((m,) * L).reshape(L, size)
+    best, best_k = -np.inf, -1
+    for h, head in enumerate(np.ndindex((m,) * (2 * n - L))):
+        cfg[:2 * n - L] = np.reshape(head, (-1, 1))
+        num, den = np.zeros(size), np.zeros(size)
+        for i in range(n):
+            for j in range(n):
+                vals = powered.ravel()[cfg[i] * m + cfg[n + j]]
+                num += vals * w[i, j]
+                den += vals * u[i, j]
+        live = den > 0
+        zero = live & (num <= threshold)
+        if zero.any():
+            best, best_k = float("inf"), h * size + int(np.argmax(zero))
+            break
+        ratio = np.where(live, den / np.where(live, num, 1.0), -np.inf)
+        k = int(np.argmax(ratio))
+        if ratio[k] > best:
+            best, best_k = float(ratio[k]), h * size + k
+    if best_k < 0:
+        raise ConstantConfiguration("every configuration is constant")
+    return best, np.array(np.unravel_index(best_k, (m,) * (2 * n)))
+
+
+def _random_metric(m, rng):
+    dist = rng.uniform(1.0, 2.0, size=(m, m))
+    return MetricSpace.finite((dist + dist.T) / 2.0 - np.diag(np.diag(dist)))
+
+
+def _path_metric(m):
+    return MetricSpace.finite(np.abs(np.subtract.outer(np.arange(m), np.arange(m))) * 1.0)
+
+
+def _pair_instances():
+    """Pair scans beyond the 5,000 pairs of the full-table comparison.  Path
+    metrics are symmetric under reflection, so their maxima tie exactly
+    between pairs whose first digits differ, that is, across blocks."""
+    rng = np.random.default_rng(31)
+    near = np.full((3, 3), 1e-17) + (1.0 - 3e-17) * np.eye(3)
+    return {
+        "m8_n3": (markov.random_reversible_chain(3, rng), _random_metric(8, rng), 1.0),
+        "m8_n3_path": (markov.random_reversible_chain(3, rng), _path_metric(8), 2.0),
+        "m3_n6_path": (markov.random_reversible_chain(6, rng), _path_metric(3), 2.0),
+        "m3_n6": (markov.random_reversible_chain(6, rng), _random_metric(3, rng), 3.5),
+        "m1_n4": (four_cycle(), MetricSpace.finite(np.zeros((1, 1))), 1.0),
+        "m5_n1": (markov.build_reversible_chain(np.ones((1, 1))), _random_metric(5, rng), 3.5),
+        "identity_m4_n4": (identity_chain(4), _path_metric(4), 1.0),
+        "near_identity_m5_n3": (markov.build_reversible_chain(near, np.full(3, 1.0 / 3.0)),
+                                _random_metric(5, rng), 2.0),
+        "cap_m5_n5": (markov.random_reversible_chain(5, rng), _random_metric(5, rng), 2.0),
+    }
+
+
+_PAIR_INSTANCES = _pair_instances()
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_reference(name):
+    chain, space, p = _PAIR_INSTANCES[name]
+    try:
+        return _chunked_pair_reference(chain, space, p)
+    except ConstantConfiguration:
+        return None
+
+
+@pytest.mark.parametrize("chunk", [4, 64, 2**14])
+@pytest.mark.parametrize("name", sorted(_PAIR_INSTANCES))
+def test_pair_scan_matches_chunked_reference_bit_for_bit(monkeypatch, name, chunk):
+    """The prefix-sharing absolute-gap scan reproduces the value and both
+    witness halves of the chunked scan exactly, whatever the block limit."""
+    chain, space, p = _PAIR_INSTANCES[name]
+    expected = _pair_reference(name)
+    monkeypatch.setattr(rayleigh, "_ENUM_CHUNK", chunk)
+    if expected is None:
+        assert space.n_points == 1
+        with pytest.raises(ConstantConfiguration):
+            rayleigh.gamma_plus_bruteforce(chain, space, p)
+        return
+    value, digits = expected
+    assert math.isinf(value) == name.startswith(("identity", "near_identity"))
+    est = rayleigh.gamma_plus_bruteforce(chain, space, p)
+    assert est.value == value
+    np.testing.assert_array_equal(est.witness[0].points, digits[:chain.n])
+    np.testing.assert_array_equal(est.witness[1].points, digits[chain.n:])
+
+
 def test_gamma_plus_at_the_cap_keeps_memory_bounded():
     """m = n = 5 is 5^10 pairs; the full pair table peaked near 400 MB."""
     rng = np.random.default_rng(13)
@@ -221,6 +319,22 @@ def test_gamma_plus_at_the_cap_keeps_memory_bounded():
         tracemalloc.stop()
     assert math.isfinite(est.value) and est.value > 0
     assert peak < 16 * 2**20
+
+
+def test_gamma_plus_at_the_cap_traced_peak_under_4mb():
+    """The prefix-sharing scan holds one level per digit of x; the chunked
+    scan before it peaked at 2.8 MB on this instance."""
+    rng = np.random.default_rng(13)
+    chain = markov.random_reversible_chain(5, rng)
+    dist = rng.uniform(1.0, 2.0, size=(5, 5))
+    space = MetricSpace.finite((dist + dist.T) / 2.0 - np.diag(np.diag(dist)))
+    tracemalloc.start()
+    try:
+        rayleigh.gamma_plus_bruteforce(chain, space, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # --- heuristic ----------------------------------------------------------------
