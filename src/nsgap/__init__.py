@@ -13,6 +13,7 @@ from .markov import (
 )
 from .rayleigh import (
     GapEstimate,
+    estimate_gap,
     gamma_bruteforce,
     gamma_heuristic,
     gamma_hilbert_exact,
@@ -36,6 +37,7 @@ __all__ = [
     "EllipsoidNorm",
     "GapEstimate",
     "rayleigh_quotient",
+    "estimate_gap",
     "gamma_hilbert_exact",
     "gamma_bruteforce",
     "gamma_plus_bruteforce",

@@ -33,16 +33,6 @@ SUBCOMMANDS = (
     "suite",
 )
 
-# GapEstimate.kind -> provenance tag, from the strongest to the weakest
-_GAP_PROVENANCE = {"exact_hilbert": "exact", "brute_force": "brute_force",
-                   "heuristic_lower_bound": "heuristic"}
-
-
-def _gap_provenance(*kinds: str) -> str:
-    """Tag of a result resting on gap estimates: the weakest of their tags."""
-    return _GAP_PROVENANCE[max(kinds, key=list(_GAP_PROVENANCE).index)]
-
-
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -224,34 +214,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_gap(args) -> dict:
     chain = _chain_from_arg(args.chain)
     space = space_from_json(_load_json(args.space))
-    method = args.method
-    if method == "auto":
-        if space.kind == "finite":
-            method = "brute"
-        elif space.kind == "lp_norm" and space.p == 2.0 and args.p == 2.0:
-            method = "exact"
-        else:
-            method = "heuristic"
-    if method == "exact":
-        est = rayleigh.gamma_hilbert_exact(chain)
-    elif method == "brute":
-        est = rayleigh.gamma_bruteforce(chain, space, args.p)
-    else:
-        est = rayleigh.gamma_heuristic(chain, space, args.p,
-                                       restarts=args.restarts, iters=args.iters,
-                                       seed=args.seed)
-    out = est.to_json()
-    out["provenance"] = _gap_provenance(est.kind)
-    return out
+    return rayleigh.estimate_gap(chain, space, args.p, args.method, restarts=args.restarts,
+                                 iters=args.iters, seed=args.seed).to_json()
 
 
 def _cmd_gap_plus(args) -> dict:
     chain = _chain_from_arg(args.chain)
     space = space_from_json(_load_json(args.space))
-    est = rayleigh.gamma_plus_bruteforce(chain, space, args.q)
-    out = est.to_json()
-    out["provenance"] = _gap_provenance(est.kind)
-    return out
+    return rayleigh.gamma_plus_bruteforce(chain, space, args.q).to_json()
 
 
 def _cmd_rayleigh_check(args) -> dict:
@@ -285,9 +255,7 @@ def _cmd_mazur_check(args) -> dict:
 def _cmd_extrapolate(args) -> dict:
     chain = _chain_from_arg(args.chain)
     space = space_from_json(_load_json(args.space))
-    out = mazur.extrapolation_check(chain, space, args.p, args.q)
-    out["provenance"] = _gap_provenance(out["kind_p"], out["kind_q"])
-    return out
+    return mazur.extrapolation_check(chain, space, args.p, args.q)
 
 
 def _cmd_john(args) -> dict:
@@ -338,8 +306,7 @@ def _cmd_expander(args) -> dict:
     return {
         "graph": expander.graph_to_json(g),
         "lambda2": spec.lambda2,
-        "gamma_classical": "inf" if math.isinf(spec.gamma_classical)
-        else spec.gamma_classical,
+        "gamma_classical": spec.gamma_classical,
         "distance_spread": spread,
         "provenance": "exact",
     }

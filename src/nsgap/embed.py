@@ -103,10 +103,6 @@ def _check_weights(mu, n: int) -> np.ndarray:
     return mu / mu.sum()
 
 
-def _euclidean_pair_norms(diffs: np.ndarray) -> np.ndarray:
-    return pair_norms(MetricSpace.lp(2.0, diffs.shape[-1]), diffs)[0]
-
-
 def _sq_dists(G: np.ndarray) -> np.ndarray:
     diag = np.diag(G)
     return diag[:, None] + diag[None, :] - 2.0 * G
@@ -321,7 +317,8 @@ def evaluate_average_distortion(points, dist, mu, q: float, theta: float) -> dic
     mu = _check_weights(mu, n)
     if q < 1.0:
         raise UnsupportedSpace("average distortion requires q >= 1")
-    emb = _euclidean_pair_norms(points[:, None, :] - points[None, :, :])
+    emb = pair_norms(MetricSpace.lp(2.0, points.shape[1]),
+                     points[:, None, :] - points[None, :, :])[0]
     off = ~np.eye(n, dtype=bool)
     snow = dist**theta
     lip = float(np.max(emb[off] / snow[off]))
@@ -386,7 +383,8 @@ def duality_witness_check(weights, configs, dist, mu, q: float, theta: float,
         raise EmptyDecomposition("weights must be strictly positive")
     mu = _check_weights(mu, n)
     # ||f_i - f_j||^q = sum_k w_k ||y_i(k) - y_j(k)||_2^q
-    per_cfg = _euclidean_pair_norms(configs[:, :, None, :] - configs[:, None, :, :])
+    per_cfg = pair_norms(MetricSpace.lp(2.0, configs.shape[-1]),
+                         configs[:, :, None, :] - configs[:, None, :, :])[0]
     fq = np.einsum("k,kij->ij", weights, per_cfg**q)
     fnorm = fq ** (1.0 / q)
     off = ~np.eye(n, dtype=bool)

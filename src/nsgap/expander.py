@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .markov import SPECTRAL_N_CAP, StochasticChain, build_reversible_chain, spectral_data
-from .rayleigh import gamma_heuristic, gamma_hilbert_exact
+from .rayleigh import estimate_gap
 from .spaces import MetricSpace
 
 RESAMPLE_BUDGET = 1000
@@ -163,12 +163,8 @@ def lp_gap_check(chain: StochasticChain, p: float, dim: int,
         return {"heuristic_gamma": float("inf"), "bound": float("inf"),
                 "ratio": None, "vacuous": True}
     bound = p * p / (1.0 - data.lambda2)
-    if p == 2.0:
-        est = gamma_hilbert_exact(chain)
-    else:
-        space = MetricSpace.lp(p, dim)
-        est = gamma_heuristic(chain, space, 2.0, restarts=restarts,
-                              iters=iters, seed=seed)
+    est = estimate_gap(chain, MetricSpace.lp(p, dim), 2.0, restarts=restarts,
+                       iters=iters, seed=seed)
     ratio = None if math.isinf(est.value) else est.value / bound
     return {"heuristic_gamma": est.value, "bound": bound, "ratio": ratio,
             "vacuous": False}

@@ -39,9 +39,6 @@ class StochasticChain:
         self.A.setflags(write=False)
         self.pi.setflags(write=False)
 
-    def lazy(self) -> "StochasticChain":
-        return lazy_power(self, 1)
-
 
 @dataclass(frozen=True)
 class SpectralData:
@@ -181,19 +178,16 @@ def meanzero_opnorm_bound_check(chain: StochasticChain, q: float = 2.0, K: float
     return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs <= rhs + 1e-9)}
 
 
-def random_reversible_chain(n: int, rng: np.random.Generator, laziness: float = 0.0) -> StochasticChain:
+def random_reversible_chain(n: int, rng: np.random.Generator) -> StochasticChain:
     """Sample a reversible chain from a symmetric positive weight matrix.
 
     With W symmetric and pi proportional to the row sums of W, the walk
     A = W / rowsum satisfies detailed balance exactly (up to rounding).
-    `laziness` mixes in the identity to bound lambda_2 away from 1.
     """
     w = rng.uniform(0.05, 1.0, size=(n, n))
     w = (w + w.T) / 2.0
     rowsum = w.sum(axis=1)
     A = w / rowsum[:, None]
-    if laziness > 0:
-        A = (1.0 - laziness) * A + laziness * np.eye(n)
     pi = rowsum / rowsum.sum()
     return build_reversible_chain(A, pi)
 

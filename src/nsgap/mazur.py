@@ -19,10 +19,9 @@ from .errors import (
     GapUnavailable,
     LengthMismatch,
     NotNormalized,
-    UnsupportedSpace,
 )
 from .markov import StochasticChain
-from .rayleigh import gamma_bruteforce, gamma_heuristic, gamma_hilbert_exact
+from .rayleigh import estimate_gap, weakest_provenance
 from .spaces import MetricSpace, pair_norms
 
 
@@ -61,17 +60,11 @@ class WeightedVectorFunction:
                                       np.array(obj["values"], dtype=float))
 
 
-def _pointwise_norms(f: WeightedVectorFunction, space: MetricSpace) -> np.ndarray:
-    if not space.is_normed:
-        raise UnsupportedSpace("Mazur maps act on functions into a normed space")
-    return pair_norms(space, f.values)[0]
-
-
 def lp_norm(f: WeightedVectorFunction, space: MetricSpace, p: float) -> float:
     """(sum_i mu_i ||f_i||^p)^{1/p}."""
     if p < 1.0:
         raise BadExponentRange("L_p norms require p >= 1")
-    norms = _pointwise_norms(f, space)
+    norms = pair_norms(space, f.values)[0]
     return float(np.sum(f.weights * norms**p) ** (1.0 / p))
 
 
@@ -81,7 +74,7 @@ def mazur_map(f: WeightedVectorFunction, space: MetricSpace,
     to q-norms: ||Mf||_q^q = ||f||_p^p exactly."""
     if p < 1.0 or q < 1.0:
         raise BadExponentRange("exponents must be >= 1")
-    norms = _pointwise_norms(f, space)
+    norms = pair_norms(space, f.values)[0]
     scale = np.zeros_like(norms)
     positive = norms > 0
     scale[positive] = norms[positive] ** (p / q - 1.0)
@@ -152,26 +145,16 @@ def extrapolation_check(chain: StochasticChain, space: MetricSpace,
     calibration."""
     if not (1.0 <= p <= q):
         raise BadExponentRange("exponents must satisfy 1 <= p <= q")
-
-    def gap(exponent: float):
-        if space.kind == "finite":
-            est = gamma_bruteforce(chain, space, exponent)
-        elif (space.kind == "lp_norm" and space.p == 2.0 and space.theta == 1.0
-              and exponent == 2.0):
-            est = gamma_hilbert_exact(chain)
-        else:
-            est = gamma_heuristic(chain, space, exponent, restarts=8, iters=200)
-        return est.value, est.kind
-
-    gamma_p, kind_p = gap(p)
-    gamma_q, kind_q = gap(q)
+    est_p, est_q = (estimate_gap(chain, space, e, restarts=8, iters=200) for e in (p, q))
+    gamma_p, gamma_q = est_p.value, est_q.value
     if not (math.isfinite(gamma_p) and math.isfinite(gamma_q)):
         raise GapUnavailable("extrapolation ratios need finite gaps on both sides")
     return {
         "gamma_p": gamma_p,
         "gamma_q": gamma_q,
-        "kind_p": kind_p,
-        "kind_q": kind_q,
+        "kind_p": est_p.kind,
+        "kind_q": est_q.kind,
+        "provenance": weakest_provenance(est_p.kind, est_q.kind),
         "left_ratio": gamma_p / gamma_q ** (p / q),
         "right_ratio": gamma_p / gamma_q,
         "finite": True,

@@ -31,6 +31,7 @@ from .errors import (
     NormSandwichViolated,
     NotReversibleChain,
     UnsupportedSpace,
+    ValidationError,
 )
 from .markov import StochasticChain, lazy_power, spectral_data
 from .spaces import (
@@ -46,10 +47,22 @@ ENUM_CAP = 10_000_000
 ZERO_QUOTIENT = 1e-14
 
 
+# GapEstimate.kind -> provenance tag, from the strongest to the weakest
+PROVENANCE = {"exact_hilbert": "exact", "brute_force": "brute_force",
+              "heuristic_lower_bound": "heuristic"}
+
+
+def weakest_provenance(*kinds: str) -> str:
+    """Tag of a result resting on gap estimates: the weakest of their tags."""
+    return PROVENANCE[max(kinds, key=list(PROVENANCE).index)]
+
+
 @dataclass(frozen=True)
 class GapEstimate:
     value: float  # in (0, inf]
-    kind: str  # exact_hilbert | brute_force | heuristic_lower_bound
+    # exact_hilbert: closed form 1/(1 - lambda_2), squared l_2 distances only;
+    # brute_force: exhaustive over a finite metric; heuristic_lower_bound: ascent
+    kind: str
     p: float
     witness: Optional[object] = None  # Configuration, or a pair for the absolute gap
 
@@ -58,6 +71,7 @@ class GapEstimate:
             "value": "inf" if math.isinf(self.value) else self.value,
             "kind": self.kind,
             "p": self.p,
+            "provenance": PROVENANCE[self.kind],
         }
         if isinstance(self.witness, Configuration):
             out["witness"] = self.witness.points.tolist()
@@ -388,6 +402,33 @@ def gamma_heuristic(chain: StochasticChain, space: MetricSpace, p: float,
     witness = Configuration(space, best_pts)
     value = float("inf") if best_r < ZERO_QUOTIENT else 1.0 / best_r
     return GapEstimate(value=value, kind="heuristic_lower_bound", p=p, witness=witness)
+
+
+# --- choice of estimator -------------------------------------------------------
+
+def _closed_form_applies(space: MetricSpace, p: float) -> bool:
+    """gamma(A, d^p) = 1/(1 - lambda_2) is proven for squared l_2 distances."""
+    return space.kind == "lp_norm" and space.p == 2.0 and space.theta == 1.0 and p == 2.0
+
+
+def estimate_gap(chain: StochasticChain, space: MetricSpace, p: float,
+                 method: str = "auto", restarts: int = 32, iters: int = 500,
+                 seed: int = 0) -> GapEstimate:
+    """The gap by `method`: "exact" (l_2 with theta = 1 and p = 2 only),
+    "brute" (finite metrics) or "heuristic" (normed spaces).  "auto" takes
+    brute for a finite metric, exact where it applies and heuristic otherwise."""
+    if method == "auto":
+        method = ("brute" if space.kind == "finite" else
+                  "exact" if _closed_form_applies(space, p) else "heuristic")
+    if method == "exact":
+        if not _closed_form_applies(space, p):
+            raise UnsupportedSpace("the closed-form gap needs l_2 with theta = 1 and p = 2")
+        return gamma_hilbert_exact(chain)
+    if method == "brute":
+        return gamma_bruteforce(chain, space, p)
+    if method == "heuristic":
+        return gamma_heuristic(chain, space, p, restarts=restarts, iters=iters, seed=seed)
+    raise ValidationError(f"unknown gap method {method!r}")
 
 
 # --- analytic bound pipeline -------------------------------------------------

@@ -64,7 +64,6 @@ class MetricSpace:
     dim: Optional[int] = None
     vertices: Optional[np.ndarray] = None
     ellipsoid: Optional[EllipsoidNorm] = None
-    _validate: bool = field(default=True, repr=False)
     # polytope facet normals z, one per row, with the norm max_z <z, y>
     facets: Optional[np.ndarray] = field(default=None, init=False, repr=False,
                                          compare=False)
@@ -73,10 +72,7 @@ class MetricSpace:
         if not (0.0 < self.theta <= 1.0):
             raise BadExponentRange(f"snowflake exponent must be in (0,1], got {self.theta}")
         if self.kind == "finite":
-            if self._validate:
-                d = _validate_finite_metric(self.dist)
-            else:
-                d = np.asarray(self.dist, dtype=float)
+            d = _validate_finite_metric(self.dist)
             object.__setattr__(self, "dist", d)
             d.setflags(write=False)
         elif self.kind == "lp_norm":
@@ -110,9 +106,8 @@ class MetricSpace:
     # --- constructors -----------------------------------------------------
 
     @staticmethod
-    def finite(dist, theta: float = 1.0, validate: bool = True) -> "MetricSpace":
-        return MetricSpace(kind="finite", dist=np.asarray(dist, dtype=float),
-                           theta=theta, _validate=validate)
+    def finite(dist, theta: float = 1.0) -> "MetricSpace":
+        return MetricSpace(kind="finite", dist=np.asarray(dist, dtype=float), theta=theta)
 
     @staticmethod
     def lp(p: float, dim: int, theta: float = 1.0) -> "MetricSpace":
@@ -140,11 +135,6 @@ class MetricSpace:
     def gauge(self, y: np.ndarray) -> float:
         """Norm of a vector (no snowflaking)."""
         return float(pair_norms(self, y)[0])
-
-    def gauge_subgradient(self, y: np.ndarray) -> np.ndarray:
-        """A subgradient of the norm at y (first-max tie-breaking for l_inf
-        and polytopes)."""
-        return pair_norms(self, y)[1]
 
 
 def pair_norms(space: MetricSpace, diffs) -> tuple:
@@ -295,25 +285,16 @@ class Configuration:
     def n(self) -> int:
         return self.points.shape[0]
 
-    def is_constant(self, tol: float = 0.0) -> bool:
-        if self.space.kind == "finite":
-            return bool(np.all(self.points == self.points[0]))
-        return bool(np.max(np.abs(self.points - self.points[0])) <= tol)
-
 
 def distance(space: MetricSpace, a, b) -> float:
     """Snowflaked distance between two points of the space."""
-    return base_distance(space, a, b) ** space.theta
-
-
-def base_distance(space: MetricSpace, a, b) -> float:
     if space.kind == "finite":
-        return float(space.dist[int(a), int(b)])
+        return float(space.dist[int(a), int(b)]) ** space.theta
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise DimensionMismatch("points have different dimensions")
-    return space.gauge(a - b)
+    return space.gauge(a - b) ** space.theta
 
 
 def config_distance_matrix(x: Configuration) -> np.ndarray:

@@ -34,12 +34,9 @@ def hypercube_corners(d: int, count: int | None = None) -> np.ndarray:
     return np.array(pts)
 
 
-def _lp_metric(points: np.ndarray, p: float) -> np.ndarray:
-    return config_distance_matrix(Configuration(MetricSpace.lp(p, points.shape[1]), points))
-
-
 def linf_metric(points: np.ndarray) -> np.ndarray:
-    return _lp_metric(points, float("inf"))
+    space = MetricSpace.lp(float("inf"), points.shape[1])
+    return config_distance_matrix(Configuration(space, points))
 
 
 def hypercube_walk_chain(corners: np.ndarray) -> markov.StochasticChain:
@@ -48,7 +45,8 @@ def hypercube_walk_chain(corners: np.ndarray) -> markov.StochasticChain:
     (Metropolis), remainder on the diagonal.  For the full corner set this is
     the standard cube walk."""
     n = corners.shape[0]
-    ham = _lp_metric(corners, 1.0)
+    l1 = MetricSpace.lp(1.0, corners.shape[1])
+    ham = config_distance_matrix(Configuration(l1, corners))
     adj = (np.abs(ham - 1.0) < 1e-12).astype(float)
     deg = adj.sum(axis=1)
     dmax = float(np.max(deg))

@@ -390,3 +390,57 @@ def test_every_subcommand_reports_documented_provenance(
     # a heuristic p-gap next to the exact Euclidean q-gap is reported heuristic
     assert tags["extrapolate-mixed.json"] == ["heuristic"]
     assert tags["extrapolate-finite.json"] == ["brute_force"]
+
+
+# 3-state chain whose gap over l_2 with theta = 1/2 and p = 2 is the cut value
+# 20/21: l_2 embeds in L_1 and theta p = 1, while 1/(1 - lambda_2) is larger
+SNOWFLAKE_CHAIN = {"rows": [[0.2, 0.5, 0.3], [0.5, 0.1, 0.4], [0.3, 0.4, 0.3]]}
+SNOWFLAKE_L2 = {"kind": "lp", "p": 2, "dim": 2, "theta": 0.5}
+
+
+def _gap_report(tmp_path, space, *extra):
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps(SNOWFLAKE_CHAIN))
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(space))
+    code, out = run_to_file(tmp_path, ["gap", "--chain", str(chain), "--space", str(path),
+                                       "--restarts", "4", "--iters", "60", *extra])
+    return code, (json.loads(out.read_text())["report"] if code == 0 else None)
+
+
+def test_auto_gap_on_snowflaked_l2_is_not_exact(tmp_path):
+    code, report = _gap_report(tmp_path, SNOWFLAKE_L2)
+    assert code == 0
+    assert report["provenance"] == "heuristic"
+    assert report["value"] <= 20.0 / 21.0 + 1e-9
+
+
+@pytest.mark.parametrize("space, p", [
+    ({"kind": "lp", "p": 2, "dim": 2}, "1"),
+    ({"kind": "lp", "p": "inf", "dim": 2}, "2"),
+    (SNOWFLAKE_L2, "2"),
+])
+def test_exact_method_outside_l2_theta1_p2_exit_2(tmp_path, capsys, space, p):
+    code, _ = _gap_report(tmp_path, space, "--method", "exact", "--p", p)
+    assert code == 2
+    assert "closed-form gap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("space, p, kind", [
+    ({"kind": "finite", "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}, "2", "brute_force"),
+    ({"kind": "finite", "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]], "theta": 0.5}, "1",
+     "brute_force"),
+    ({"kind": "lp", "p": 2, "dim": 2}, "2", "exact_hilbert"),
+    ({"kind": "lp", "p": 2, "dim": 2}, "1", "heuristic_lower_bound"),
+    ({"kind": "lp", "p": 2, "dim": 2}, "3", "heuristic_lower_bound"),
+    (SNOWFLAKE_L2, "2", "heuristic_lower_bound"),
+    ({"kind": "lp", "p": 1, "dim": 2}, "2", "heuristic_lower_bound"),
+    ({"kind": "lp", "p": "inf", "dim": 2}, "2", "heuristic_lower_bound"),
+    ({"kind": "ellipsoid", "Q": [[2, 0], [0, 1]]}, "2", "heuristic_lower_bound"),
+    ({"kind": "polytope", "vertices": [[1, 0], [0, 1], [1, 1]]}, "2",
+     "heuristic_lower_bound"),
+])
+def test_auto_gap_method_table(tmp_path, space, p, kind):
+    code, report = _gap_report(tmp_path, space, "--p", p)
+    assert code == 0
+    assert report["kind"] == kind

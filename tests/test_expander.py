@@ -5,7 +5,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from nsgap import expander, markov
+from nsgap import expander, markov, rayleigh
 from nsgap.errors import (
     Disconnected,
     NotReversibleChain,
@@ -13,6 +13,7 @@ from nsgap.errors import (
     UnsupportedSpace,
     ValidationError,
 )
+from nsgap.spaces import MetricSpace
 
 
 def complete_graph_four():
@@ -211,6 +212,20 @@ def test_lp_gap_check_l4_below_bound():
     assert rep["bound"] == pytest.approx(32.0, abs=1e-9)
     assert rep["ratio"] is None or rep["ratio"] <= 1.0 + 1e-9
     assert not rep["vacuous"]
+
+
+def test_lp_gap_check_takes_the_gap_of_estimate_gap():
+    """The l_2 case is the closed form and l_4 the heuristic, as chosen by
+    rayleigh.estimate_gap over squared l_p distances."""
+    cases = [(expander.graph_chain(complete_graph_four()), 2.0, "exact_hilbert"),
+             (markov.lazy_power(expander.graph_chain(four_cycle_graph()), 1), 4.0,
+              "heuristic_lower_bound")]
+    for chain, p, kind in cases:
+        rep = expander.lp_gap_check(chain, p, dim=4, seed=0)
+        est = rayleigh.estimate_gap(chain, MetricSpace.lp(p, 4), 2.0,
+                                    restarts=8, iters=200, seed=0)
+        assert est.kind == kind
+        assert rep["heuristic_gamma"] == est.value
 
 
 def test_lp_gap_check_identity_vacuous():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nsgap import markov, mazur
+from nsgap import markov, mazur, rayleigh
 from nsgap.errors import BadExponentRange, GapUnavailable, NotNormalized
 from nsgap.mazur import WeightedVectorFunction
 from nsgap.spaces import MetricSpace
@@ -127,6 +127,29 @@ def test_extrapolation_cycle_family_bounded():
         rep = mazur.extrapolation_check(chain, MetricSpace.lp(2.0, n), 1.0, 2.0)
         assert 0.1 <= rep["left_ratio"] <= 10.0
         assert 0.1 <= rep["right_ratio"] <= 10.0
+
+
+def test_extrapolation_takes_the_gaps_of_estimate_gap():
+    """Both sides come from rayleigh.estimate_gap with the report's budget,
+    and the report carries the weaker provenance of the two."""
+    rng = np.random.default_rng(4)
+    lazy_cycle = markov.lazy_power(markov.build_reversible_chain(
+        np.roll(np.eye(4), 1, axis=1) / 2 + np.roll(np.eye(4), -1, axis=1) / 2), 1)
+    cases = [
+        (markov.random_reversible_chain(4, rng), MetricSpace.lp(2.0, 4), 2.0, 2.0, "exact"),
+        (markov.build_reversible_chain(np.array([[0.0, 1.0], [1.0, 0.0]])),
+         MetricSpace.finite(np.array([[0.0, 1.0], [1.0, 0.0]])), 1.0, 2.0, "brute_force"),
+        (lazy_cycle, MetricSpace.lp(2.0, 4), 1.0, 2.0, "heuristic"),
+    ]
+    for chain, space, p, q, provenance in cases:
+        rep = mazur.extrapolation_check(chain, space, p, q)
+        for side, exponent in (("p", p), ("q", q)):
+            est = rayleigh.estimate_gap(chain, space, exponent, restarts=8, iters=200)
+            assert rep[f"kind_{side}"] == est.kind
+            assert rep[f"gamma_{side}"] == est.value
+        assert rep["provenance"] == provenance
+    # the mixed case: heuristic at p = 1, exact at q = 2
+    assert (rep["kind_p"], rep["kind_q"]) == ("heuristic_lower_bound", "exact_hilbert")
 
 
 def test_extrapolation_rejects_infinite_gap():

@@ -13,6 +13,8 @@ from nsgap.errors import (
     DegenerateGap,
     InstanceTooLarge,
     MismatchedStationary,
+    UnsupportedSpace,
+    ValidationError,
 )
 from nsgap.spaces import Configuration, EllipsoidNorm, MetricSpace
 
@@ -86,7 +88,19 @@ def test_gamma_bruteforce_flip():
     for p in (1.0, 2.0, 3.0):
         est = rayleigh.gamma_bruteforce(flip_chain(), two_point_metric(), p)
         assert est.value == 0.5
-        assert not est.witness.is_constant()
+        assert np.any(est.witness.points != est.witness.points[0])
+
+
+def test_estimate_gap_methods():
+    exact = rayleigh.estimate_gap(four_cycle(), MetricSpace.lp(2.0, 2), 2.0, "exact")
+    assert exact.to_json()["provenance"] == "exact" and exact.value == pytest.approx(1.0)
+    brute = rayleigh.estimate_gap(flip_chain(), two_point_metric(), 1.0)
+    assert brute.kind == "brute_force" and brute.to_json()["provenance"] == "brute_force"
+    with pytest.raises(UnsupportedSpace):
+        rayleigh.estimate_gap(four_cycle(), MetricSpace.lp(2.0, 2, theta=0.5), 2.0, "exact")
+    with pytest.raises(ValidationError):
+        rayleigh.estimate_gap(four_cycle(), MetricSpace.lp(2.0, 2), 2.0, "closed_form")
+    assert rayleigh.weakest_provenance("exact_hilbert", "brute_force") == "brute_force"
 
 
 def test_gamma_bruteforce_identity_infinite():
