@@ -329,10 +329,11 @@ def evaluate_average_distortion(points, dist, mu, q: float, theta: float) -> dic
     return {"lip": lip, "spread": spread, "D": d_val}
 
 
-def duality_forward_check(embedding: GramEmbedding, chain: StochasticChain,
-                          dist, theta: float, q: float = 2.0) -> dict:
+def duality_forward_check(D: float, chain: StochasticChain, dist, theta: float,
+                          q: float = 2.0) -> dict:
     """Witness-level forward duality: with D the achieved average distortion
-    and gamma the classical reciprocal gap,
+    of an embedding (`GramEmbedding.d_achieved`) and gamma the classical
+    reciprocal gap,
 
         sum pi_i pi_j d^{theta q} <= D^q gamma sum pi_i a_ij d^{theta q}.
 
@@ -350,8 +351,7 @@ def duality_forward_check(embedding: GramEmbedding, chain: StochasticChain,
     lhs = float(np.sum(np.outer(pi, pi) * snow_q))
     edge = float(np.sum(pi[:, None] * chain.A * snow_q))
     gamma = spectral_data(chain).gamma_classical
-    d_val = embedding.d_achieved
-    rhs = d_val**q * gamma * edge
+    rhs = D**q * gamma * edge
     slack = rhs - lhs
     gamma_source_le = float("inf") if edge <= 0 else lhs / edge
     return {

@@ -44,6 +44,9 @@ from .spaces import (
 
 P_MIN, P_MAX = 1.0, 8.0
 ENUM_CAP = 10_000_000
+# n^2 d bound of the heuristic, whose evaluations build n x n x d pair arrays:
+# the default 32 x 500 run over lp(3, 4) at the cap takes about a minute of CPU
+HEURISTIC_CAP = 800_000
 ZERO_QUOTIENT = 1e-14
 
 
@@ -60,7 +63,7 @@ def weakest_provenance(*kinds: str) -> str:
 @dataclass(frozen=True)
 class GapEstimate:
     value: float  # in (0, inf]
-    # exact_hilbert: closed form 1/(1 - lambda_2), squared l_2 distances only;
+    # exact_hilbert: closed form 1/(1 - lambda_2), squared l_2 or ellipsoid distances;
     # brute_force: exhaustive over a finite metric; heuristic_lower_bound: ascent
     kind: str
     p: float
@@ -120,28 +123,23 @@ _ENUM_CHUNK = 2**14  # configurations per block; a pair block holds >= m^(n+1)
 _MIN_RUN = 100  # broadcast adds over shorter contiguous runs ran up to 2x slower
 
 
-def _config_blocks(powered, w, u, m, n):
-    """Blocks over the last L digits; w_ij P[x_i, x_j] gathered in (i, j) order."""
+def _config_blocks(tables, m, n):
+    """Blocks over the last L digits.  Term (i, j) is the table indexed by
+    digits i and j, each a head value or an arange on its own leaf axis (the
+    diagonal when i == j), broadcast onto the block in (i, j) order."""
     L = max(L for L in range(n + 1) if m**L <= _ENUM_CHUNK)
-    size = m**L
-    cfg = np.empty((n, size), dtype=np.intp)
-    cfg[n - L:] = np.indices((m,) * L).reshape(L, size)
-    rows, idx = np.empty((n, size), dtype=np.intp), np.empty(size, dtype=np.intp)
-    vals, tmp, num, den = (np.empty(size) for _ in range(4))
+    leaf = [np.arange(m).reshape((1,) * k + (m,) + (1,) * (L - 1 - k)) for k in range(L)]
+    block = np.empty((2,) + (m,) * L)
     for head in np.ndindex((m,) * (n - L)):
-        cfg[:n - L] = np.reshape(head, (-1, 1))
-        num[:] = den[:] = 0.0
-        np.multiply(cfg, m, out=rows)
+        digit = [np.full((1,) * L, h) for h in head] + leaf
+        block[...] = 0.0
         for i in range(n):
             for j in range(n):
-                np.add(rows[i], cfg[j], out=idx)
-                np.take(powered, idx, out=vals)
-                num += np.multiply(vals, w[i, j], out=tmp)
-                den += np.multiply(vals, u[i, j], out=tmp)
-        yield num, den
+                block += tables[:, i, j, digit[i], digit[j]]
+        yield block[0].ravel(), block[1].ravel()
 
 
-def _pair_blocks(powered, w, u, m, n):
+def _pair_blocks(tables, m, n):
     """Blocks of pairs: the last r >= 1 digits of x times all of y.  After
     row i the row-major sum over (i, j) depends only on x_0..x_i and y, so
     level i holds it for each x_i (and leaf digit of x before it) and each y.
@@ -149,7 +147,6 @@ def _pair_blocks(powered, w, u, m, n):
     Term (i, j) is w_ij P on the axes of x_i and y_j, added in runs >= _MIN_RUN."""
     r = max((r for r in range(1, n + 1) if m ** (n + r) <= _ENUM_CHUNK), default=1)
     H, t = n - r, next((t for t in range(1, n + 1) if m**t >= _MIN_RUN), n)
-    tables = np.stack([w, u])[:, :, :, None, None] * powered
     terms = [[tables[:, i, j].reshape((2, 1, m) + (1,) * j + (m,) + (1,) * (n - 1 - j))
               for j in range(n)] for i in range(n)]
     for row in terms:
@@ -171,7 +168,8 @@ def _enumerate(chain: StochasticChain, space: MetricSpace, p: float, pairs: bool
     first configuration (inf at the first live one with a zero numerator).
     N = n for the gap; N = 2n for the absolute gap, whose pair (x, y) is one
     configuration where digit i of x meets digit n + j of y.  Both scans
-    yield row-major (num, den) blocks of O(n _ENUM_CHUNK) memory."""
+    yield row-major (num, den) blocks of O(n _ENUM_CHUNK) memory from one
+    table of the terms w_ij P[a, b] and u_ij P[a, b]."""
     _check_p(p)
     if space.kind != "finite":
         raise UnsupportedSpace("enumeration requires a finite metric")
@@ -182,9 +180,10 @@ def _enumerate(chain: StochasticChain, space: MetricSpace, p: float, pairs: bool
         raise InstanceTooLarge(f"enumeration size {m}^{N} exceeds the cap")
     powered = (space.dist**space.theta) ** p
     w, u = chain.pi[:, None] * chain.A, np.outer(chain.pi, chain.pi)
+    tables = np.stack([w, u])[:, :, :, None, None] * powered
     threshold = ZERO_QUOTIENT * max(float(np.max(powered)), 1e-300)
     best, best_k, start = -np.inf, -1, 0
-    for num, den in (_pair_blocks if pairs else _config_blocks)(powered, w, u, m, n):
+    for num, den in (_pair_blocks if pairs else _config_blocks)(tables, m, n):
         live = den > 0
         zero = live & (num <= threshold)
         if zero.any():
@@ -273,10 +272,7 @@ def markov_type_ratio(chain: StochasticChain, x: Configuration, t: int,
         raise BadExponentRange("power t must be a positive integer")
     _check_p(p)
     space = x.space
-    hilbert = (space.kind == "lp_norm" and space.p == 2.0 and space.theta == 1.0) or (
-        space.kind == "ellipsoid_norm" and space.theta == 1.0
-    )
-    if not hilbert:
+    if not _is_hilbertian(space):
         raise UnsupportedSpace("Markov type ratio is asserted for Hilbert configurations")
     powered = config_distance_matrix(x) ** p
     r1 = _quotient(chain.A, chain.pi, powered)
@@ -351,8 +347,10 @@ def gamma_heuristic(chain: StochasticChain, space: MetricSpace, p: float,
         raise UnsupportedSpace("the heuristic requires a normed space")
     if restarts < 1 or iters < 1:
         raise BadExponentRange("restarts and iters must be positive")
-    data = spectral_data(chain)
     n, d = chain.n, space.dim
+    if n * n * d > HEURISTIC_CAP:
+        raise InstanceTooLarge(f"heuristic size n^2 d = {n * n * d} exceeds {HEURISTIC_CAP}")
+    data = spectral_data(chain)
     e = space.theta * p
     w = chain.pi[:, None] * chain.A
     u = np.outer(chain.pi, chain.pi)
@@ -406,15 +404,22 @@ def gamma_heuristic(chain: StochasticChain, space: MetricSpace, p: float,
 
 # --- choice of estimator -------------------------------------------------------
 
+def _is_hilbertian(space: MetricSpace) -> bool:
+    """An l_2 or ellipsoid norm with theta = 1: with Q = R^T R the ellipsoid
+    norm is ||R y||_2, so both spaces are isometric to l_2^d."""
+    return space.theta == 1.0 and (space.kind == "ellipsoid_norm" or (
+        space.kind == "lp_norm" and space.p == 2.0))
+
+
 def _closed_form_applies(space: MetricSpace, p: float) -> bool:
-    """gamma(A, d^p) = 1/(1 - lambda_2) is proven for squared l_2 distances."""
-    return space.kind == "lp_norm" and space.p == 2.0 and space.theta == 1.0 and p == 2.0
+    """gamma(A, d^p) = 1/(1 - lambda_2) is proven for squared Hilbertian distances."""
+    return _is_hilbertian(space) and p == 2.0
 
 
 def estimate_gap(chain: StochasticChain, space: MetricSpace, p: float,
                  method: str = "auto", restarts: int = 32, iters: int = 500,
                  seed: int = 0) -> GapEstimate:
-    """The gap by `method`: "exact" (l_2 with theta = 1 and p = 2 only),
+    """The gap by `method`: "exact" (l_2 or an ellipsoid, theta = 1, p = 2 only),
     "brute" (finite metrics) or "heuristic" (normed spaces).  "auto" takes
     brute for a finite metric, exact where it applies and heuristic otherwise."""
     if method == "auto":
@@ -422,7 +427,8 @@ def estimate_gap(chain: StochasticChain, space: MetricSpace, p: float,
                   "exact" if _closed_form_applies(space, p) else "heuristic")
     if method == "exact":
         if not _closed_form_applies(space, p):
-            raise UnsupportedSpace("the closed-form gap needs l_2 with theta = 1 and p = 2")
+            raise UnsupportedSpace("the closed-form gap needs l_2 or an ellipsoid norm "
+                                   "with theta = 1 and p = 2")
         return gamma_hilbert_exact(chain)
     if method == "brute":
         return gamma_bruteforce(chain, space, p)

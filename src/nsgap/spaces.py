@@ -214,7 +214,7 @@ def _validate_finite_metric(dist, positive: bool = False) -> np.ndarray:
     most FINITE_N_CAP points with finite entries and a zero diagonal,
     symmetric, nonnegative (strictly positive off the diagonal when
     `positive`) and satisfying the triangle inequality.  The size cap is
-    checked before the O(n^3) triangle test allocates."""
+    checked before the O(n^3) triangle test runs."""
     d = np.asarray(dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise DimensionMismatch("distance matrix must be square")
@@ -231,10 +231,13 @@ def _validate_finite_metric(dist, positive: bool = False) -> np.ndarray:
         raise NotAMetric("distances must be nonnegative")
     if positive and np.min(d + np.eye(n)) <= 0:
         raise NotAMetric("off-diagonal distances must be positive")
-    # O(n^3) triangle inequality via broadcasting
-    through = np.min(d[:, :, None] + d[None, :, :], axis=1)
-    if np.max(d - through) > TRIANGLE_TOL:
-        raise NotAMetric("triangle inequality violated")
+    # d_ik <= min_j d_ij + d_jk by broadcasting, in row blocks of about 2^20
+    # sums so the O(n^3) test holds O(n^2) memory
+    block = max(1, 2**20 // (n * n))
+    for lo in range(0, n, block):
+        through = np.min(d[lo:lo + block, :, None] + d[None, :, :], axis=1)
+        if np.max(d[lo:lo + block] - through) > TRIANGLE_TOL:
+            raise NotAMetric("triangle inequality violated")
     return d
 
 
@@ -299,16 +302,11 @@ def distance(space: MetricSpace, a, b) -> float:
 
 def config_distance_matrix(x: Configuration) -> np.ndarray:
     """Pairwise snowflaked distances of a configuration."""
-    return cross_distance_matrix(x, x)
-
-
-def cross_distance_matrix(x: Configuration, y: Configuration) -> np.ndarray:
-    """Snowflaked distances d(x_i, y_j) between two configurations."""
     space = x.space
     if space.kind == "finite":
-        base = space.dist[np.ix_(x.points, y.points)]
+        base = space.dist[np.ix_(x.points, x.points)]
     else:
-        base = pair_norms(space, x.points[:, None, :] - y.points[None, :, :])[0]
+        base = pair_norms(space, x.points[:, None, :] - x.points[None, :, :])[0]
     return base ** space.theta
 
 

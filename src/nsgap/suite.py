@@ -235,7 +235,7 @@ def criterion_7(seed: int, embeddings: dict | None = None) -> dict:
     control_ok = True
     for d, (emb, corners, dist) in embeddings.items():
         chain = markov.lazy_power(hypercube_walk_chain(corners), 1)
-        rep = embed.duality_forward_check(emb, chain, dist, 0.5, 2.0)
+        rep = embed.duality_forward_check(emb.d_achieved, chain, dist, 0.5, 2.0)
         slacks[str(d)] = rep["slack"]
         if not rep["product_ok"]:
             forward_ok = False

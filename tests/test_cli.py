@@ -3,12 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import nsgap
-from nsgap import cli, markov
+from nsgap import cli, markov, rayleigh
 from nsgap.spaces import MetricSpace, space_to_json
 
 
@@ -436,11 +437,39 @@ def test_exact_method_outside_l2_theta1_p2_exit_2(tmp_path, capsys, space, p):
     (SNOWFLAKE_L2, "2", "heuristic_lower_bound"),
     ({"kind": "lp", "p": 1, "dim": 2}, "2", "heuristic_lower_bound"),
     ({"kind": "lp", "p": "inf", "dim": 2}, "2", "heuristic_lower_bound"),
-    ({"kind": "ellipsoid", "Q": [[2, 0], [0, 1]]}, "2", "heuristic_lower_bound"),
+    ({"kind": "ellipsoid", "Q": [[2, 0], [0, 1]]}, "2", "exact_hilbert"),
     ({"kind": "polytope", "vertices": [[1, 0], [0, 1], [1, 1]]}, "2",
      "heuristic_lower_bound"),
+    ({"kind": "ellipsoid", "Q": [[2, 0], [0, 1]], "theta": 0.5}, "2", "heuristic_lower_bound"),
 ])
 def test_auto_gap_method_table(tmp_path, space, p, kind):
     code, report = _gap_report(tmp_path, space, "--p", p)
     assert code == 0
     assert report["kind"] == kind
+
+
+def test_exact_method_on_ellipsoid(tmp_path):
+    """An ellipsoid norm sqrt(y^T Q y) is ||R y||_2 for Q = R^T R, so the
+    closed form holds there as it does for l_2."""
+    code, report = _gap_report(tmp_path, {"kind": "ellipsoid", "Q": [[2, 0], [0, 1]]},
+                               "--method", "exact")
+    assert code == 0
+    assert report["kind"] == "exact_hilbert" and report["provenance"] == "exact"
+    _, l2 = _gap_report(tmp_path, {"kind": "lp", "p": 2, "dim": 2}, "--method", "exact")
+    assert report["value"] == l2["value"]
+
+
+def test_heuristic_above_the_cap_exit_2(tmp_path, capsys):
+    """Each heuristic evaluation builds n x n x d pair arrays; the default
+    run at 512 states over lp(3, 4) took 91 s of CPU before the cap."""
+    n = math.isqrt(rayleigh.HEURISTIC_CAP // 4) + 1
+    chain = tmp_path / "uniform.json"
+    chain.write_text(json.dumps({"rows": np.full((n, n), 1.0 / n).tolist()}))
+    space = tmp_path / "l3.json"
+    space.write_text(json.dumps({"kind": "lp", "p": 3, "dim": 4}))
+    start = time.process_time()
+    code, out = run_to_file(tmp_path, ["gap", "--chain", str(chain), "--space", str(space)])
+    assert time.process_time() - start < 2.0
+    assert code == 2
+    assert not out.exists()
+    assert "exceeds" in capsys.readouterr().err

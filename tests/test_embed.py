@@ -288,7 +288,7 @@ def test_evaluate_size_mismatch():
 def test_duality_forward_on_cycle_witness():
     dist = four_cycle_path_metric()
     emb = embed.average_embed_hilbert(dist, np.full(4, 0.25), 0.5)
-    rep = embed.duality_forward_check(emb, lazy_four_cycle(), dist, 0.5, 2.0)
+    rep = embed.duality_forward_check(emb.d_achieved, lazy_four_cycle(), dist, 0.5, 2.0)
     assert rep["product_ok"]
     assert rep["slack"] >= -1e-9
 
@@ -307,7 +307,7 @@ def test_duality_forward_isometric_euclidean():
     spread = 1.0
     emb = embed.GramEmbedding(G=G, factor=pts, lip_certificate=lip,
                               spread_certificate=spread)
-    rep = embed.duality_forward_check(emb, chain, dist, 1.0, 2.0)
+    rep = embed.duality_forward_check(emb.d_achieved, chain, dist, 1.0, 2.0)
     assert rep["product_ok"]
 
 

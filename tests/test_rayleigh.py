@@ -208,6 +208,43 @@ def test_enumeration_matches_reference_bit_for_bit(monkeypatch, chunk):
     assert kinds == {True, False}
 
 
+def _benchmark_shape(m, n, seed):
+    rng = np.random.default_rng(seed)
+    chain = (markov.random_reversible_chain(n, rng) if n > 1
+             else markov.build_reversible_chain(np.ones((1, 1))))
+    return chain, _random_metric(m, rng) if m > 1 else MetricSpace.finite(np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("m, n", [(8, 6), (5, 4), (8, 1), (1, 6)])
+def test_gap_at_benchmark_shapes_matches_reference(m, n):
+    """m8n6 and m5n4 are the gap-brute classes of the finite benchmark mix;
+    m8n6 has two head digits at the default block size.  With one state or
+    one point every configuration is constant."""
+    chain, space = _benchmark_shape(m, n, 40 + m + n)
+    value, digits = _reference_enumeration(chain, space, 2.0, pairs=False)
+    if n == 1 or m == 1:
+        assert value == -np.inf
+        with pytest.raises(ConstantConfiguration):
+            rayleigh.gamma_bruteforce(chain, space, 2.0)
+        return
+    est = rayleigh.gamma_bruteforce(chain, space, 2.0)
+    assert math.isfinite(value) and est.value == value
+    np.testing.assert_array_equal(est.witness.points, digits)
+
+
+def test_gap_at_m8_n6_traced_peak_under_half_mb():
+    """One (2, m^L) block and the term table; the gather scan before it held
+    n index rows per block and peaked at 0.64 MB."""
+    chain, space = _benchmark_shape(8, 6, 54)
+    tracemalloc.start()
+    try:
+        rayleigh.gamma_bruteforce(chain, space, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19
+
+
 def test_degenerate_enumeration_raises():
     """With every configuration constant there is no quotient to maximise;
     the enumerations used to report -inf, which printed as "inf"."""

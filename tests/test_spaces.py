@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from nsgap.errors import (
     DegenerateSpan,
     DimensionMismatch,
     LengthMismatch,
+    NotAMetric,
     UnsupportedSpace,
 )
 from nsgap import spaces as spaces_module
 from nsgap.spaces import (
+    FINITE_N_CAP,
     Configuration,
     EllipsoidNorm,
     MetricSpace,
@@ -54,6 +57,34 @@ def test_finite_metric_validation():
         MetricSpace.finite(bad)
     with pytest.raises(BadExponentRange):
         MetricSpace.lp(2.0, 2, theta=1.5)
+
+
+def _line_metric(n):
+    return np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
+
+
+def test_triangle_test_at_the_cap_traced_peak_under_32mb():
+    """The triangle test takes its minimum in row blocks; the one n^3
+    broadcast it replaced peaked near 1 GB at the cap."""
+    dist = _line_metric(FINITE_N_CAP)
+    tracemalloc.start()
+    try:
+        MetricSpace.finite(dist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def test_triangle_violation_across_row_blocks():
+    """At 200 points a row block holds 26 rows: d(100, 180) = 81 beats the
+    80 of the path through any point in between, and rows 100 and 180 sit
+    in later blocks than the first."""
+    dist = _line_metric(200)
+    MetricSpace.finite(dist.copy())
+    dist[100, 180] = dist[180, 100] = 81.0
+    with pytest.raises(NotAMetric, match="triangle"):
+        MetricSpace.finite(dist)
 
 
 def test_product_distance_identical():
