@@ -57,16 +57,16 @@ def _jsonable(value):
 def _emit(report: dict, config: dict, args) -> None:
     config = _jsonable(config)
     payload = {
-        "command": config.get("command"),
+        "command": config["command"],
         "version": __version__,
-        "seed": config.get("seed"),
+        "seed": config["seed"],
         "config": config,
         "config_hash": hashlib.sha256(
             json.dumps(config, sort_keys=True).encode()
         ).hexdigest(),
         "report": _jsonable(report),
     }
-    if getattr(args, "format", "json") == "csv":
+    if args.format == "csv":
         lines = ["key,value"]
         flat = payload["report"]
 
@@ -84,12 +84,11 @@ def _emit(report: dict, config: dict, args) -> None:
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    out = getattr(args, "output", None)
-    if out:
+    if args.output:
         # write over the old bytes and truncate after: truncating a written
         # file to zero at open starts its writeback; only regular files can
         # be truncated (not a pipe behind /dev/stdout)
-        with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        with open(os.open(args.output, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
             fh.write(text.encode("utf-8"))
             if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
                 fh.truncate()
@@ -173,7 +172,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--chain", required=True)
     sp.add_argument("--metric", required=True)
     sp.add_argument("--theta", type=float, default=1.0)
-    sp.add_argument("--q", type=float, default=2.0)
     common(sp)
 
     sp = sub.add_parser("expander", help="sample a regular graph and check it")
@@ -197,7 +195,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("calibrate", help="fit an unspecified comparison constant")
     sp.add_argument("--constant", choices=("C_thm4", "c_q", "C_pq"), required=True)
     sp.add_argument("--family-size", type=int, default=20)
-    sp.add_argument("--calibration-file", default="calibration.json")
     common(sp)
 
     sp = sub.add_parser("suite", help="run a named verification battery")
@@ -281,8 +278,7 @@ def _cmd_verify_duality(args) -> dict:
     rec = payload.get("report", payload)
     chain = _chain_from_arg(args.chain)
     dist = np.array(_load_json(args.metric), dtype=float)
-    out = embed.duality_forward_check(float(rec["D_achieved"]), chain, dist, args.theta,
-                                      args.q)
+    out = embed.duality_forward_check(float(rec["D_achieved"]), chain, dist, args.theta)
     out["provenance"] = "exact"
     return out
 
@@ -303,14 +299,13 @@ def _cmd_expander(args) -> dict:
 
 def _cmd_bounds(args) -> dict:
     if args.formula == "dimension":
-        value = expander.dimension_lower_bound(args.n, args.d, args.gamma,
-                                               args.D, args.q, args.c_q)
+        value = expander.dimension_lower_bound(args.n, args.d, args.gamma, args.D,
+                                               args.c_q)
     elif args.formula == "distortion":
         value = expander.avg_distortion_lower_bound(args.n, args.d, args.gamma,
                                                     args.q)
     else:
-        value = expander.coarse_obstruction(args.gamma, args.omega1, args.p,
-                                            args.n, args.d)
+        value = expander.coarse_obstruction(args.gamma, args.omega1, args.p)
     return {"formula": args.formula, "value": value, "log_base": "natural",
             "provenance": "fitted"}
 
@@ -353,12 +348,9 @@ def _cmd_calibrate(args) -> dict:
                 markov.lazy_power(chain, 1), MetricSpace.lp(2.0, n), 1.0, 2.0)
             ratios.append(rep["right_ratio"])
     fitted = float(np.min(ratios) if args.constant == "c_q" else np.max(ratios))
-    record = {"constant": args.constant, "fitted": fitted,
-              "family_size": args.family_size, "seed": args.seed,
-              "ratios": [float(r) for r in ratios], "provenance": "fitted"}
-    with open(args.calibration_file, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(record), fh, sort_keys=True, indent=2)
-    return record
+    return {"constant": args.constant, "fitted": fitted,
+            "family_size": args.family_size, "seed": args.seed,
+            "ratios": [float(r) for r in ratios], "provenance": "fitted"}
 
 
 def _cmd_suite(args) -> dict:

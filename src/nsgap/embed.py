@@ -56,15 +56,14 @@ class GramEmbedding:
     factor: np.ndarray  # n x r with factor factor^T = G
     lip_certificate: float  # max ||f_i - f_j|| / d(i,j)^theta
     spread_certificate: float  # avg squared embedded distance over avg d^{2 theta}
-    iterations: int = 0
-    stop: str | None = None  # converged / stalled / iteration_cap
-    dual_bound: float = math.inf  # certified upper bound on the spread
-    dual_weights: np.ndarray | None = None  # n x n symmetric y, zero diagonal
+    iterations: int
+    stop: str  # converged / stalled / iteration_cap
+    dual_bound: float  # certified upper bound on the spread
+    dual_weights: np.ndarray  # n x n symmetric y, zero diagonal
 
     def __post_init__(self):
         for arr in (self.G, self.factor, self.dual_weights):
-            if arr is not None:
-                arr.setflags(write=False)
+            arr.setflags(write=False)
 
     @property
     def d_achieved(self) -> float:
@@ -78,7 +77,6 @@ class GramEmbedding:
         return 1.0 / math.sqrt(self.dual_bound)
 
     def to_json(self) -> dict:
-        weights = self.dual_weights
         return {
             "G": self.G.tolist(),
             "factor": self.factor.tolist(),
@@ -90,7 +88,7 @@ class GramEmbedding:
             "dual_bound": self.dual_bound,
             "D_lower": self.d_lower,
             "gap": self.dual_bound - self.spread_certificate,
-            "dual_weights": None if weights is None else weights.tolist(),
+            "dual_weights": self.dual_weights.tolist(),
         }
 
 
@@ -329,29 +327,25 @@ def evaluate_average_distortion(points, dist, mu, q: float, theta: float) -> dic
     return {"lip": lip, "spread": spread, "D": d_val}
 
 
-def duality_forward_check(D: float, chain: StochasticChain, dist, theta: float,
-                          q: float = 2.0) -> dict:
-    """Witness-level forward duality: with D the achieved average distortion
-    of an embedding (`GramEmbedding.d_achieved`) and gamma the classical
-    reciprocal gap,
+def duality_forward_check(D: float, chain: StochasticChain, dist, theta: float) -> dict:
+    """Witness-level forward duality at the Hilbert exponent 2: with D the
+    achieved quadratic average distortion of an embedding
+    (`GramEmbedding.d_achieved`) and gamma the classical reciprocal gap,
 
-        sum pi_i pi_j d^{theta q} <= D^q gamma sum pi_i a_ij d^{theta q}.
+        sum pi_i pi_j d^{2 theta} <= D^2 gamma sum pi_i a_ij d^{2 theta}.
 
-    Certifies the gap of the chain over the snowflaked metric at the witness.
-    Only the Hilbert exponent q = 2 is supported."""
-    if q != 2.0:
-        raise UnsupportedSpace("forward duality is instantiated for q = 2 only")
+    Certifies the gap of the chain over the snowflaked metric at the witness."""
     if not chain.reversible:
         raise NotReversibleChain("forward duality requires a reversible chain")
     dist = _validate_finite_metric(dist, positive=True)
     if dist.shape[0] != chain.n:
         raise SizeMismatch("metric size must match the state count")
-    snow_q = dist ** (theta * q)
+    snow_sq = dist ** (theta * 2.0)
     pi = chain.pi
-    lhs = float(np.sum(np.outer(pi, pi) * snow_q))
-    edge = float(np.sum(pi[:, None] * chain.A * snow_q))
+    lhs = float(np.sum(np.outer(pi, pi) * snow_sq))
+    edge = float(np.sum(pi[:, None] * chain.A * snow_sq))
     gamma = spectral_data(chain).gamma_classical
-    rhs = D**q * gamma * edge
+    rhs = D**2.0 * gamma * edge
     slack = rhs - lhs
     gamma_source_le = float("inf") if edge <= 0 else lhs / edge
     return {

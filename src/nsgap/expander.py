@@ -123,10 +123,10 @@ def distance_spread_check(g: RegularGraph) -> dict:
             "holds": bool(min_count >= g.n / 2.0)}
 
 
-def dimension_lower_bound(n: int, d: int, gamma: float, D: float, q: float,
-                          c_q: float) -> float:
+def dimension_lower_bound(n: int, d: int, gamma: float, D: float, c_q: float) -> float:
     """n^{c_q / (gamma D ln d)}: the least dimension a normed space needs to
-    q-average embed the graph metric with distortion D."""
+    q-average embed the graph metric with distortion D; q enters only
+    through the constant c_q."""
     if n < 2 or d < 2 or gamma <= 0 or D <= 0 or c_q < 0:
         raise ValidationError("arguments must be positive with n, d >= 2")
     if math.isinf(gamma) or math.isinf(D):
@@ -142,18 +142,19 @@ def avg_distortion_lower_bound(n: int, d: int, gamma: float, q: float) -> float:
     return float(math.log(n) / math.log(d) / gamma ** (1.0 / q))
 
 
-def coarse_obstruction(gamma: float, Omega1: float, p: float, n: int, d: int) -> float:
-    """Cap on the lower modulus of any equi-coarse embedding family at radius
-    floor(log_d(n/2)): omega at that radius cannot exceed (2 gamma)^{1/p} Omega1."""
-    if gamma <= 0 or Omega1 < 0 or p <= 0 or n < 2 or d < 2:
-        raise ValidationError("arguments must be positive with n, d >= 2")
+def coarse_obstruction(gamma: float, Omega1: float, p: float) -> float:
+    """Cap on the lower modulus of any equi-coarse embedding family of an
+    n-vertex d-regular expander at radius floor(log_d(n/2)): omega at that
+    radius cannot exceed (2 gamma)^{1/p} Omega1, whatever n and d."""
+    if gamma <= 0 or Omega1 < 0 or p <= 0:
+        raise ValidationError("arguments must be positive")
     return float((2.0 * gamma) ** (1.0 / p) * Omega1)
 
 
-def lp_gap_check(chain: StochasticChain, p: float, dim: int,
-                 restarts: int = 8, iters: int = 200, seed: int = 0) -> dict:
-    """Compare the heuristic gap over squared l_p distances with the analytic
-    form p^2/(1 - lambda_2) (implicit constant 1, logged via the ratio)."""
+def lp_gap_check(chain: StochasticChain, p: float, dim: int) -> dict:
+    """Compare the heuristic gap over squared l_p distances (8 restarts of
+    200 iterations, seed 0) with the analytic form p^2/(1 - lambda_2)
+    (implicit constant 1, logged via the ratio)."""
     if not chain.reversible:
         raise NotReversibleChain("the comparison requires a reversible chain")
     if p < 2.0:
@@ -163,8 +164,7 @@ def lp_gap_check(chain: StochasticChain, p: float, dim: int,
         return {"heuristic_gamma": float("inf"), "bound": float("inf"),
                 "ratio": None, "vacuous": True}
     bound = p * p / (1.0 - data.lambda2)
-    est = estimate_gap(chain, MetricSpace.lp(p, dim), 2.0, restarts=restarts,
-                       iters=iters, seed=seed)
+    est = estimate_gap(chain, MetricSpace.lp(p, dim), 2.0, restarts=8, iters=200, seed=0)
     ratio = None if math.isinf(est.value) else est.value / bound
     return {"heuristic_gamma": est.value, "bound": bound, "ratio": ratio,
             "vacuous": False}

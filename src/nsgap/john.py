@@ -32,7 +32,7 @@ def crosspolytope_vertices(d: int) -> np.ndarray:
     return np.vstack([eye, -eye])
 
 
-def mvee(points, tol: float = MVEE_TOL, max_iters: int = MVEE_CAP) -> EllipsoidNorm:
+def mvee(points) -> EllipsoidNorm:
     """Minimum-volume origin-centered ellipsoid containing the given points
     and their negations.
 
@@ -41,11 +41,12 @@ def mvee(points, tol: float = MVEE_TOL, max_iters: int = MVEE_CAP) -> EllipsoidN
     level p^T M^{-1} p and the term p p^T, so the negations are folded in),
     each step moves weight from the supported point of least level to the
     point of greatest level by the closed-form log-det line search, until the
-    greatest level is within (1 + tol) of the dimension d.  M^{-1} and the
+    greatest level is within (1 + MVEE_TOL) of the dimension d.  M^{-1} and the
     levels follow each step by two rank-one (Sherman-Morrison) updates and
     are recomputed exactly every MVEE_REFRESH steps and before convergence
     is declared.  The ellipsoid is {y : y^T Q y <= 1} with Q = M^{-1}/d,
-    rescaled so the farthest point sits exactly on the boundary.
+    rescaled so the farthest point sits exactly on the boundary.  More than
+    MVEE_CAP steps raise NoConvergence.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     m, d = pts.shape
@@ -54,9 +55,9 @@ def mvee(points, tol: float = MVEE_TOL, max_iters: int = MVEE_CAP) -> EllipsoidN
     if np.linalg.matrix_rank(pts) < d:
         raise DegenerateSpan("points do not span the ambient space")
     u = np.full(m, 1.0 / m)
-    bound = d * (1.0 + tol)
+    bound = d * (1.0 + MVEE_TOL)
     converged = False
-    for it in range(max_iters):
+    for it in range(MVEE_CAP):
         exact = it % MVEE_REFRESH == 0
         if exact:
             inv, levels = _exact_levels(pts, u)
@@ -80,7 +81,7 @@ def mvee(points, tol: float = MVEE_TOL, max_iters: int = MVEE_CAP) -> EllipsoidN
         _rank_one_update(inv, levels, pts, pts[j_plus], step)
         _rank_one_update(inv, levels, pts, pts[j_minus], -step)
     if not converged:
-        raise NoConvergence(f"vertex-exchange MVEE exhausted {max_iters} iterations")
+        raise NoConvergence(f"vertex-exchange MVEE exhausted {MVEE_CAP} iterations")
     Q = inv / d  # inv was recomputed exactly from the final weights
     Q = (Q + Q.T) / 2.0
     # push the boundary out to the farthest point so containment is exact
@@ -106,14 +107,14 @@ def _rank_one_update(inv: np.ndarray, levels: np.ndarray, pts: np.ndarray,
     levels -= scale * w * w
 
 
-def hilbert_distance(space: MetricSpace, tol: float = MVEE_TOL,
-                     sample_count: int = 1000, seed: int = 0) -> dict:
+def hilbert_distance(space: MetricSpace) -> dict:
     """Hilbertian norm H and factor D_X with ||y||_H <= ||y||_X <= D_X ||y||_H.
 
     The H-ball is the MVEE of the unit ball of X, which guarantees the lower
     sandwich; D_X is the exact maximum of ||y||_X over the H-sphere, taken
     over facet normals when a facet description exists and over sampled
-    directions otherwise (the sampling slack is reported).  For polytopal
+    directions otherwise (max(1000, 50 d) at seed 0 span the ball, 1000 at
+    seed 1 estimate D_X; the sampling slack is reported).  For polytopal
     balls in dimension d, D_X <= sqrt(d).
     """
     if not space.is_normed:
@@ -132,16 +133,16 @@ def hilbert_distance(space: MetricSpace, tol: float = MVEE_TOL,
     elif space.kind == "lp_norm":
         # no finite vertex description: sample the unit sphere of the norm
         approximate = True
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        dirs = rng.standard_normal((max(sample_count, 50 * d), d))
+        rng = np.random.default_rng(np.random.SeedSequence(0))
+        dirs = rng.standard_normal((max(1000, 50 * d), d))
         verts = dirs / pair_norms(space, dirs)[0][:, None]
     else:
         verts, normals = space.vertices, space.facets
-    ell = mvee(verts, tol=tol)
+    ell = mvee(verts)
     if approximate:
         # directional estimate of the upper factor on fresh samples
-        rng = np.random.default_rng(np.random.SeedSequence(seed + 1))
-        dirs = rng.standard_normal((sample_count, d))
+        rng = np.random.default_rng(np.random.SeedSequence(1))
+        dirs = rng.standard_normal((1000, d))
         hs = pair_norms(MetricSpace.ellipsoid_space(ell), dirs)[0]
         xs = pair_norms(space, dirs)[0]
         ratios = xs / hs

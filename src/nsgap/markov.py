@@ -46,7 +46,7 @@ class SpectralData:
     lambda2: float
     gamma_classical: float
     meanzero_norm: float
-    eigenvectors: np.ndarray = field(repr=False, default=None)
+    eigenvectors: np.ndarray = field(repr=False)
 
 
 def _stationary_vector(A: np.ndarray) -> np.ndarray:
@@ -156,25 +156,19 @@ def gamma_plus_hilbert(chain: StochasticChain) -> float:
     return 1.0 / (1.0 - mu)
 
 
-def meanzero_opnorm_bound_check(chain: StochasticChain, q: float = 2.0, K: float = 1.0) -> dict:
+def meanzero_opnorm_bound_check(chain: StochasticChain) -> dict:
     """Check the operator-norm bound on the mean-zero subspace for a
-    Hilbert target: ||A||_{mean-zero} <= (1 - 1/((2^{q-1}-1) K^q gamma_plus))^{1/q}.
-
-    Only the Hilbert instantiation (q = 2) is supported; general uniformly
-    convex targets are out of scope.
+    Hilbert target: ||A||_{mean-zero} <= (1 - 1/gamma_plus)^{1/2}, the
+    uniform-convexity bound (1 - 1/((2^{q-1}-1) K^q gamma_plus))^{1/q} at
+    q = 2 and K = 1.  General uniformly convex targets are out of scope.
     """
-    if q != 2.0:
-        raise UnsupportedSpace("only the Hilbert instantiation q = 2 is supported")
-    if K <= 0:
-        raise UnsupportedSpace("constant K must be positive")
     data = spectral_data(chain)
     lhs = data.meanzero_norm
     gamma_plus = gamma_plus_hilbert(chain)
-    factor = (2.0 ** (q - 1.0) - 1.0) * K**q
     if np.isinf(gamma_plus):
         rhs = 1.0
     else:
-        rhs = (1.0 - 1.0 / (factor * gamma_plus)) ** (1.0 / q)
+        rhs = (1.0 - 1.0 / gamma_plus) ** 0.5
     return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs <= rhs + 1e-9)}
 
 

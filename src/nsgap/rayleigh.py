@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -44,8 +43,9 @@ from .spaces import (
 
 P_MIN, P_MAX = 1.0, 8.0
 ENUM_CAP = 10_000_000
-# n^2 d bound of the heuristic, whose evaluations build n x n x d pair arrays:
-# the default 32 x 500 run over lp(3, 4) at the cap takes about a minute of CPU
+# n^2 max(d, F) bound of the heuristic, whose evaluations build n x n x d pair
+# arrays and, over a polytope with F facets, n x n x F facet scores: the
+# default 32 x 500 run over lp(3, 4) at the cap takes about a minute of CPU
 HEURISTIC_CAP = 800_000
 ZERO_QUOTIENT = 1e-14
 
@@ -67,7 +67,7 @@ class GapEstimate:
     # brute_force: exhaustive over a finite metric; heuristic_lower_bound: ascent
     kind: str
     p: float
-    witness: Optional[object] = None  # Configuration, or a pair for the absolute gap
+    witness: object  # Configuration, or a pair for the absolute gap
 
     def to_json(self) -> dict:
         out = {
@@ -76,10 +76,10 @@ class GapEstimate:
             "p": self.p,
             "provenance": PROVENANCE[self.kind],
         }
-        if isinstance(self.witness, Configuration):
-            out["witness"] = self.witness.points.tolist()
-        elif isinstance(self.witness, tuple):
+        if isinstance(self.witness, tuple):
             out["witness"] = [c.points.tolist() for c in self.witness]
+        else:
+            out["witness"] = self.witness.points.tolist()
         return out
 
 
@@ -348,8 +348,10 @@ def gamma_heuristic(chain: StochasticChain, space: MetricSpace, p: float,
     if restarts < 1 or iters < 1:
         raise BadExponentRange("restarts and iters must be positive")
     n, d = chain.n, space.dim
-    if n * n * d > HEURISTIC_CAP:
-        raise InstanceTooLarge(f"heuristic size n^2 d = {n * n * d} exceeds {HEURISTIC_CAP}")
+    width = max(d, space.facets.shape[0]) if space.kind == "polytope_norm" else d
+    if n * n * width > HEURISTIC_CAP:
+        raise InstanceTooLarge(f"heuristic size n^2 max(d, F) = {n * n * width} "
+                               f"exceeds {HEURISTIC_CAP}")
     data = spectral_data(chain)
     e = space.theta * p
     w = chain.pi[:, None] * chain.A

@@ -51,9 +51,6 @@ class EllipsoidNorm:
     def dim(self) -> int:
         return self.Q.shape[0]
 
-    def norm(self, y: np.ndarray) -> float:
-        return MetricSpace.ellipsoid_space(self).gauge(y)
-
 
 @dataclass(frozen=True)
 class MetricSpace:
@@ -86,8 +83,9 @@ class MetricSpace:
                 raise DimensionMismatch("polytope vertices must be an m-by-d array")
             if v.shape[1] > POLYTOPE_DIM_CAP:
                 raise UnsupportedSpace(f"polytope norms capped at d = {POLYTOPE_DIM_CAP}")
-            # enforce origin symmetry by augmenting with negations
-            v = _symmetrize_vertices(v)
+            # enforce origin symmetry by augmenting with negations; Qhull and
+            # the MVEE take repeated points as they are
+            v = np.vstack([v, -v])
             if np.linalg.matrix_rank(v) < v.shape[1]:
                 raise DimensionMismatch("polytope vertices do not span R^d")
             z = _facet_normals(v)
@@ -184,29 +182,6 @@ def pair_norms(space: MetricSpace, diffs) -> tuple:
         norms = np.take_along_axis(scores, top[..., None], axis=-1)[..., 0]
         grads = space.facets[top]
     return norms, grads
-
-
-def _symmetrize_vertices(v: np.ndarray) -> np.ndarray:
-    """The rows of v and -v in order, less each row that is
-    np.allclose(row, kept, atol=1e-12) to an earlier kept row."""
-    stacked = np.vstack([v, -v])
-    m = stacked.shape[0]
-    # closeness to earlier rows, in row blocks of about 2^20 entries so the
-    # temporaries stay small for large vertex sets
-    block = max(1, 2**20 // (m * stacked.shape[1]))
-    rows, cols = [], []
-    for lo in range(0, m, block):
-        near = np.all(np.isclose(stacked[lo:lo + block, None, :], stacked[None, :, :],
-                                 atol=1e-12), axis=-1)
-        i, j = np.nonzero(np.tril(near, lo - 1))
-        rows.append(i + lo)
-        cols.append(j)
-    keep = np.ones(m, dtype=bool)
-    # pairs come sorted by row, so keep[j] is final when row i > j is decided
-    for i, j in zip(np.concatenate(rows), np.concatenate(cols)):
-        if keep[j]:
-            keep[i] = False
-    return stacked[keep]
 
 
 def _validate_finite_metric(dist, positive: bool = False) -> np.ndarray:
@@ -389,7 +364,9 @@ def space_to_json(space: MetricSpace) -> dict:
     elif space.kind == "lp_norm":
         out.update(kind="lp", p="inf" if np.isinf(space.p) else space.p, dim=space.dim)
     elif space.kind == "polytope_norm":
-        out.update(kind="polytope", vertices=space.vertices.tolist())
+        # the given vertices only: a reread would add the stored negations again
+        given = space.vertices[: space.vertices.shape[0] // 2]
+        out.update(kind="polytope", vertices=given.tolist())
     else:
         out.update(kind="ellipsoid", Q=space.ellipsoid.Q.tolist())
     return out

@@ -169,16 +169,18 @@ def test_bounds_subcommand(tmp_path):
     assert payload["report"]["value"] == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
 
-def test_calibrate_subcommand(tmp_path):
-    calfile = tmp_path / "calibration.json"
+def test_calibrate_subcommand(tmp_path, monkeypatch):
+    """The report is the only file written: no second copy in the working
+    directory."""
+    monkeypatch.chdir(tmp_path)
     code, out = run_to_file(tmp_path, [
         "calibrate", "--constant", "C_pq", "--family-size", "4",
-        "--calibration-file", str(calfile),
     ])
     assert code == 0
     payload = json.loads(out.read_text())
+    assert payload["report"]["constant"] == "C_pq"
     assert payload["report"]["fitted"] > 0
-    assert json.loads(calfile.read_text())["constant"] == "C_pq"
+    assert [path.name for path in tmp_path.iterdir()] == [out.name]
 
 
 def test_csv_format(tmp_path, flip_chain_file, hilbert_space_file):
@@ -282,17 +284,18 @@ def test_one_point_metric_exit_2(tmp_path, flip_chain_file, capsys, argv):
 ])
 def test_one_point_metric_embedding_exit_2(tmp_path, capsys, argv):
     """A one-point metric embeds only as a constant, which has no spread;
-    embed used to report that as a numerical failure (exit 3)."""
+    embed used to report that as a numerical failure (exit 3).  The one-state
+    chain that verify-duality would pair with it has no spectral gap."""
     (tmp_path / "one_point.json").write_text("[[0.0]]")
     (tmp_path / "one_state.json").write_text('{"rows": [[1.0]]}')
     (tmp_path / "emb.json").write_text(json.dumps({"report": {
-        "G": [[0.0]], "factor": [[0.0]], "lip": 0.0, "spread": 1.0}}))
+        "G": [[0.0]], "factor": [[0.0]], "lip": 0.0, "spread": 1.0, "D_achieved": 1.0}}))
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     code, out = run_to_file(tmp_path, argv + ["--metric", str(tmp_path / "one_point.json")])
     assert code == 2
     assert not out.exists()
-    if argv[0] == "embed":
-        assert "constant" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert ("constant" if argv[0] == "embed" else "at least two states") in err
 
 
 def test_oversized_polytope_exit_2(tmp_path, flip_chain_file):
@@ -377,8 +380,7 @@ def test_every_subcommand_reports_documented_provenance(
                        "--theta", "0.5"]),
         ("expander.json", ["expander", "--n", "16", "--d", "3"]),
         ("bounds.json", ["bounds", "--formula", "coarse"]),
-        ("calibrate.json", ["calibrate", "--constant", "C_pq", "--family-size", "2",
-                            "--calibration-file", str(tmp_path / "cal.json")]),
+        ("calibrate.json", ["calibrate", "--constant", "C_pq", "--family-size", "2"]),
         ("suite.json", ["suite"]),
     ]
     assert {argv[0] for _, argv in runs} == set(cli.SUBCOMMANDS)
@@ -467,6 +469,23 @@ def test_heuristic_above_the_cap_exit_2(tmp_path, capsys):
     chain.write_text(json.dumps({"rows": np.full((n, n), 1.0 / n).tolist()}))
     space = tmp_path / "l3.json"
     space.write_text(json.dumps({"kind": "lp", "p": 3, "dim": 4}))
+    start = time.process_time()
+    code, out = run_to_file(tmp_path, ["gap", "--chain", str(chain), "--space", str(space)])
+    assert time.process_time() - start < 2.0
+    assert code == 2
+    assert not out.exists()
+    assert "exceeds" in capsys.readouterr().err
+
+
+def test_heuristic_over_a_polytope_counts_its_facets(tmp_path, capsys):
+    """A polytope norm scores every pair difference against each of its F
+    facets, so the cap counts n^2 max(d, F): the 12-dimensional
+    cross-polytope has 4,096 facets, and 16 states put it above the cap."""
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps(markov.chain_to_json(
+        markov.random_reversible_chain(16, np.random.default_rng(0)))))
+    space = tmp_path / "cross12.json"
+    space.write_text(json.dumps({"kind": "polytope", "vertices": np.eye(12).tolist()}))
     start = time.process_time()
     code, out = run_to_file(tmp_path, ["gap", "--chain", str(chain), "--space", str(space)])
     assert time.process_time() - start < 2.0

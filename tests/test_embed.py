@@ -288,7 +288,7 @@ def test_evaluate_size_mismatch():
 def test_duality_forward_on_cycle_witness():
     dist = four_cycle_path_metric()
     emb = embed.average_embed_hilbert(dist, np.full(4, 0.25), 0.5)
-    rep = embed.duality_forward_check(emb.d_achieved, lazy_four_cycle(), dist, 0.5, 2.0)
+    rep = embed.duality_forward_check(emb.d_achieved, lazy_four_cycle(), dist, 0.5)
     assert rep["product_ok"]
     assert rep["slack"] >= -1e-9
 
@@ -301,13 +301,7 @@ def test_duality_forward_isometric_euclidean():
     pts = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt(np.sum(diff**2, axis=2))
-    G = pts @ pts.T
-    sq = np.diag(G)[:, None] + np.diag(G)[None, :] - 2 * G
-    lip = 1.0
-    spread = 1.0
-    emb = embed.GramEmbedding(G=G, factor=pts, lip_certificate=lip,
-                              spread_certificate=spread)
-    rep = embed.duality_forward_check(emb.d_achieved, chain, dist, 1.0, 2.0)
+    rep = embed.duality_forward_check(1.0, chain, dist, 1.0)
     assert rep["product_ok"]
 
 

@@ -171,13 +171,13 @@ def test_graph_size_cap_precedes_dense_arrays():
 
 def test_dimension_lower_bound_values():
     # 16^{ln 4 / (1 * 1 * ln 4)} = 16
-    assert expander.dimension_lower_bound(16, 4, 1.0, 1.0, 2.0, math.log(4.0)) \
+    assert expander.dimension_lower_bound(16, 4, 1.0, 1.0, math.log(4.0)) \
         == pytest.approx(16.0, abs=1e-9)
     # infinite gap or distortion makes the bound vacuous
-    assert expander.dimension_lower_bound(16, 4, float("inf"), 1.0, 2.0, 1.0) == 1.0
-    assert expander.dimension_lower_bound(16, 4, 1.0, float("inf"), 2.0, 1.0) == 1.0
+    assert expander.dimension_lower_bound(16, 4, float("inf"), 1.0, 1.0) == 1.0
+    assert expander.dimension_lower_bound(16, 4, 1.0, float("inf"), 1.0) == 1.0
     with pytest.raises(ValidationError):
-        expander.dimension_lower_bound(1, 4, 1.0, 1.0, 2.0, 1.0)
+        expander.dimension_lower_bound(1, 4, 1.0, 1.0, 1.0)
 
 
 def test_avg_distortion_lower_bound_values():
@@ -190,9 +190,9 @@ def test_avg_distortion_lower_bound_values():
 
 def test_coarse_obstruction_values():
     # (2 * 2)^{1/1} * 1 = 4
-    assert expander.coarse_obstruction(2.0, 1.0, 1.0, 16, 4) == pytest.approx(4.0)
+    assert expander.coarse_obstruction(2.0, 1.0, 1.0) == pytest.approx(4.0)
     # p = 2 halves the exponent
-    assert expander.coarse_obstruction(2.0, 3.0, 2.0, 16, 4) \
+    assert expander.coarse_obstruction(2.0, 3.0, 2.0) \
         == pytest.approx(6.0, abs=1e-12)
 
 
@@ -208,7 +208,7 @@ def test_lp_gap_check_hilbert_exact():
 def test_lp_gap_check_l4_below_bound():
     chain = expander.graph_chain(four_cycle_graph())
     lazy = markov.lazy_power(chain, 1)
-    rep = expander.lp_gap_check(lazy, 4.0, dim=4, seed=0)
+    rep = expander.lp_gap_check(lazy, 4.0, dim=4)
     assert rep["bound"] == pytest.approx(32.0, abs=1e-9)
     assert rep["ratio"] is None or rep["ratio"] <= 1.0 + 1e-9
     assert not rep["vacuous"]
@@ -221,7 +221,7 @@ def test_lp_gap_check_takes_the_gap_of_estimate_gap():
              (markov.lazy_power(expander.graph_chain(four_cycle_graph()), 1), 4.0,
               "heuristic_lower_bound")]
     for chain, p, kind in cases:
-        rep = expander.lp_gap_check(chain, p, dim=4, seed=0)
+        rep = expander.lp_gap_check(chain, p, dim=4)
         est = rayleigh.estimate_gap(chain, MetricSpace.lp(p, 4), 2.0,
                                     restarts=8, iters=200, seed=0)
         assert est.kind == kind

@@ -15,7 +15,6 @@ from nsgap.errors import (
     NotAMetric,
     UnsupportedSpace,
 )
-from nsgap import spaces as spaces_module
 from nsgap.spaces import (
     FINITE_N_CAP,
     Configuration,
@@ -268,30 +267,12 @@ def test_linf_pair_norms_bit_identical_to_reference():
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _symmetrize_reference(v):
-    """The pairwise np.allclose loop, kept as the reference."""
-    uniq = []
-    for row in np.vstack([v, -v]):
-        if not any(np.allclose(row, u, atol=1e-12) for u in uniq):
-            uniq.append(row)
-    return np.array(uniq)
-
-
-def test_symmetrize_vertices_matches_allclose_loop():
-    rng = np.random.default_rng(5)
-    for _ in range(40):
-        m, d = rng.integers(1, 16), rng.integers(1, 5)
-        v = rng.standard_normal((m, d))
-        picks = rng.integers(0, m, size=rng.integers(0, m + 1))
-        # near-duplicates on both sides of rtol = 1e-5, exact ones and negations
-        scale = 1.0 + rng.choice([0.0, 1e-13, 1e-7, 9e-6, 1.000005e-5, 2e-5, 1e-3], size=(picks.size, 1))
-        # chains a ~ b ~ c with a, c apart: c is kept, as it is close to no kept row
-        chain = [v[picks[:3]] * (1.0 + k * 8e-6) for k in (1, 2)]
-        v = np.vstack([v, v[picks] * scale, *chain, -v[: rng.integers(0, m + 1)],
-                       np.zeros((rng.integers(0, 2), d))])
-        v = v[rng.permutation(len(v))]
-        got, want = spaces_module._symmetrize_vertices(v), _symmetrize_reference(v)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+def test_polytope_keeps_vertices_within_allclose_tolerance():
+    """A vertex 5e-6 beyond another is a real vertex: the gauge of e_1 is
+    1 / (1 + 5e-6), not the 1.0 of the ball without it."""
+    space = MetricSpace.polytope([[1.0, 0.0], [0.0, 1.0], [1.0 + 5e-6, 0.0]])
+    assert space.gauge(np.array([1.0, 0.0])) == pytest.approx(1.0 / (1.0 + 5e-6),
+                                                               rel=1e-12)
 
 
 def test_large_polytope_builds_quickly():
@@ -302,10 +283,8 @@ def test_large_polytope_builds_quickly():
     start = time.process_time()
     space = MetricSpace.polytope(v)
     assert time.process_time() - start < 0.5
-    # exact repeats are the only near-duplicates: the first copy of each stays
-    stacked = np.vstack([v, -v])
-    first = np.sort(np.unique(stacked, axis=0, return_index=True)[1])
-    np.testing.assert_array_equal(space.vertices, stacked[first])
+    # the vertices and their negations are stored as given, repeats included
+    np.testing.assert_array_equal(space.vertices, np.vstack([v, -v]))
 
 
 def test_one_dimensional_polytope_is_an_interval():
@@ -354,3 +333,5 @@ def test_space_json_roundtrip():
         again = space_from_json(space_to_json(space))
         assert again.kind == space.kind
         assert again.theta == space.theta
+        if space.kind == "polytope_norm":
+            np.testing.assert_array_equal(again.vertices, space.vertices)
