@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
+from . import ascent
 from .errors import (
     BadExponentRange,
     ConstantConfiguration,
@@ -47,6 +49,9 @@ ENUM_CAP = 10_000_000
 # arrays and, over a polytope with F facets, n x n x F facet scores: the
 # default 32 x 500 run over lp(3, 4) at the cap takes about a minute of CPU
 HEURISTIC_CAP = 800_000
+# pair entries n^2 max(d, F) of one stack of heuristic restarts stepped
+# together: below it a step costs mostly numpy dispatch, not arithmetic
+HEURISTIC_BATCH = 4096
 ZERO_QUOTIENT = 1e-14
 
 
@@ -68,6 +73,10 @@ class GapEstimate:
     kind: str
     p: float
     witness: object  # Configuration, or a pair for the absolute gap
+    # heuristic only: evaluations over all restarts, and why the restart
+    # holding the witness stopped (stalled, or iteration_cap)
+    iterations: Optional[int] = None
+    stop: Optional[str] = None
 
     def to_json(self) -> dict:
         out = {
@@ -76,6 +85,8 @@ class GapEstimate:
             "p": self.p,
             "provenance": PROVENANCE[self.kind],
         }
+        if self.iterations is not None:
+            out.update(iterations=self.iterations, stop=self.stop)
         if isinstance(self.witness, tuple):
             out["witness"] = [c.points.tolist() for c in self.witness]
         else:
@@ -340,7 +351,10 @@ def gamma_heuristic(chain: StochasticChain, space: MetricSpace, p: float,
     The first start is the rescaled second eigenvector of the symmetrization
     placed on the first coordinate axis; for a Euclidean target with p = 2
     this start is already optimal, so the exact reciprocal gap is recovered.
-    Remaining starts are Gaussian.  Deterministic given the seed.
+    Remaining starts are Gaussian.  Restarts step together in stacks of
+    HEURISTIC_BATCH // (n^2 max(d, F)) or fewer (`ascent.lockstep`), with
+    the value, witness and evaluation count of running them one after
+    another.  Deterministic given the seed.
     """
     _check_p(p)
     if not space.is_normed:
@@ -353,55 +367,28 @@ def gamma_heuristic(chain: StochasticChain, space: MetricSpace, p: float,
         raise InstanceTooLarge(f"heuristic size n^2 max(d, F) = {n * n * width} "
                                f"exceeds {HEURISTIC_CAP}")
     data = spectral_data(chain)
-    e = space.theta * p
-    w = chain.pi[:, None] * chain.A
-    u = np.outer(chain.pi, chain.pi)
-    wsym = w + w.T
-    usym = 2.0 * u
+    evaluate = ascent.evaluator(chain, space, space.theta * p)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-
-    def evaluate(pts):
-        # norms of pair differences, subgradients wrt the first point
-        norms, grads = pair_norms(space, pts[:, None, :] - pts[None, :, :])
-        powered = norms**e
-        num = float(np.sum(w * powered))
-        den = float(np.sum(u * powered))
-        if den <= 1e-300:
-            return None
-        r = num / den
-        safe = np.where(norms > 1e-12, norms, 1.0)
-        factor = e * np.where(norms > 1e-12, safe ** (e - 1.0), 0.0)
-        grad_num = np.einsum("ij,ijk->ik", wsym * factor, grads)
-        grad_den = np.einsum("ij,ijk->ik", usym * factor, grads)
-        return r, (grad_num - r * grad_den) / den, den
-
-    best_r, best_pts = float("inf"), None
-    eig_pts = np.zeros((n, d))
-    eig_pts[:, 0] = data.eigenvectors[:, 1] / np.sqrt(chain.pi)
-    starts = [eig_pts] + [rng.standard_normal((n, d)) for _ in range(restarts - 1)]
-    for pts in starts:
-        pts = pts.astype(float).copy()
-        stale = 0
-        for it in range(iters):
-            out = evaluate(pts)
-            if out is None:
-                break
-            r, grad, den = out
-            if r < best_r - 1e-15:
-                best_r, best_pts = r, pts.copy()
-                stale = 0
-            else:
-                stale += 1
-                if stale > 50:
-                    break
-            pts = pts - (0.1 / math.sqrt(it + 1.0)) * grad
-            # renormalize so the quotient denominator stays at 1
-            pts = pts / max(den, 1e-300) ** (1.0 / e)
-    if best_pts is None:
+    batch = max(1, min(restarts, HEURISTIC_BATCH // (n * n * width)))
+    rule = ascent.InOrder()
+    for first in range(0, restarts, batch):
+        starts = np.empty((min(batch, restarts - first), n, d))
+        if first == 0:
+            starts[0] = 0.0
+            starts[0, :, 0] = data.eigenvectors[:, 1] / np.sqrt(chain.pi)
+        # one draw per stack continues the stream of one draw per restart
+        rng.standard_normal(out=starts[int(first == 0):])
+        ascent.lockstep(evaluate, starts, first, iters, rule)
+    if rule.holder is None:
         raise ConstantConfiguration("all starts degenerated to constant configurations")
-    witness = Configuration(space, best_pts)
-    value = float("inf") if best_r < ZERO_QUOTIENT else 1.0 / best_r
-    return GapEstimate(value=value, kind="heuristic_lower_bound", p=p, witness=witness)
+    witness = rule.witness
+    if witness is None:  # the winning step's points were not kept: recompute them
+        _, start, step = rule.holder
+        witness = ascent.trajectory(evaluate, start, step)
+    value = float("inf") if rule.best < ZERO_QUOTIENT else 1.0 / rule.best
+    return GapEstimate(value=value, kind="heuristic_lower_bound", p=p,
+                       witness=Configuration(space, witness),
+                       iterations=rule.evaluations, stop=rule.stop)
 
 
 # --- choice of estimator -------------------------------------------------------

@@ -141,7 +141,8 @@ def pair_norms(space: MetricSpace, diffs) -> tuple:
 
     A polytope norm is max_z <z, y> over the facet normals and its
     subgradient is the arg-max normal.  Smooth norms get the zero subgradient
-    at the origin.
+    at the origin.  Sums call np.add.reduce, which np.sum wraps in Python
+    code that costs about as much as the sum on the ascent's small batches.
     """
     if not space.is_normed:
         raise UnsupportedSpace("norms are defined for normed spaces only")
@@ -149,7 +150,7 @@ def pair_norms(space: MetricSpace, diffs) -> tuple:
     if diffs.shape[-1] != space.dim:
         raise DimensionMismatch("vector dimension mismatch")
     if space.kind == "lp_norm" and space.p == 2.0:
-        norms = np.sqrt(np.sum(diffs**2, axis=-1))
+        norms = np.sqrt(np.add.reduce(diffs**2, axis=-1))
         safe = np.where(norms > 0, norms, 1.0)
         grads = diffs / safe[..., None]
     elif space.kind == "lp_norm" and np.isinf(space.p):
@@ -164,13 +165,14 @@ def pair_norms(space: MetricSpace, diffs) -> tuple:
         grads[rows, top] = np.where(vals != 0, np.sign(vals), 1.0)
         grads = grads.reshape(diffs.shape)
     elif space.kind == "lp_norm" and space.p == 1.0:
-        norms = np.sum(np.abs(diffs), axis=-1)
+        norms = np.add.reduce(np.abs(diffs), axis=-1)
         grads = np.sign(diffs)
     elif space.kind == "lp_norm":
         q = space.p
-        norms = np.sum(np.abs(diffs) ** q, axis=-1) ** (1.0 / q)
+        size = np.abs(diffs)
+        norms = np.add.reduce(size**q, axis=-1) ** (1.0 / q)
         safe = np.where(norms > 0, norms, 1.0)
-        grads = np.sign(diffs) * (np.abs(diffs) / safe[..., None]) ** (q - 1.0)
+        grads = np.sign(diffs) * (size / safe[..., None]) ** (q - 1.0)
     elif space.kind == "ellipsoid_norm":
         qmat = space.ellipsoid.Q
         norms = np.sqrt(np.einsum("...k,kl,...l->...", diffs, qmat, diffs))
@@ -179,7 +181,9 @@ def pair_norms(space: MetricSpace, diffs) -> tuple:
     else:
         scores = diffs @ space.facets.T
         top = np.argmax(scores, axis=-1)
-        norms = np.take_along_axis(scores, top[..., None], axis=-1)[..., 0]
+        # row-wise fancy indexing, as for l_inf: take_along_axis costs more
+        flat = scores.reshape(-1, scores.shape[-1])
+        norms = flat[np.arange(flat.shape[0]), top.ravel()].reshape(top.shape)
         grads = space.facets[top]
     return norms, grads
 

@@ -448,6 +448,11 @@ def test_auto_gap_method_table(tmp_path, space, p, kind):
     code, report = _gap_report(tmp_path, space, "--p", p)
     assert code == 0
     assert report["kind"] == kind
+    # only the ascent reports its evaluations and its stop reason
+    heuristic = kind == "heuristic_lower_bound"
+    assert ("iterations" in report) == ("stop" in report) == heuristic
+    if heuristic:
+        assert report["iterations"] > 0 and report["stop"] in ("stalled", "iteration_cap")
 
 
 def test_exact_method_on_ellipsoid(tmp_path):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nsgap import markov, rayleigh
+from nsgap import ascent, markov, rayleigh
 from nsgap.errors import (
     BadExponentRange,
     ConstantConfiguration,
@@ -16,7 +16,7 @@ from nsgap.errors import (
     UnsupportedSpace,
     ValidationError,
 )
-from nsgap.spaces import Configuration, EllipsoidNorm, MetricSpace
+from nsgap.spaces import Configuration, EllipsoidNorm, MetricSpace, pair_norms
 
 
 def flip_chain():
@@ -389,6 +389,163 @@ def test_gamma_plus_at_the_cap_traced_peak_under_4mb():
 
 
 # --- heuristic ----------------------------------------------------------------
+
+def _reference_heuristic(chain, space, p, restarts, iters, seed):
+    """The restarts run one after another: value, witness points, evaluations
+    over all restarts, why the witness's restart stopped, and its index."""
+    n, d = chain.n, space.dim
+    data = markov.spectral_data(chain)
+    e = space.theta * p
+    w = chain.pi[:, None] * chain.A
+    u = np.outer(chain.pi, chain.pi)
+    wsym = w + w.T
+    usym = 2.0 * u
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+
+    def evaluate(pts):
+        norms, grads = pair_norms(space, pts[:, None, :] - pts[None, :, :])
+        powered = norms**e
+        num = float(np.sum(w * powered))
+        den = float(np.sum(u * powered))
+        if den <= 1e-300:
+            return None
+        r = num / den
+        safe = np.where(norms > 1e-12, norms, 1.0)
+        factor = e * np.where(norms > 1e-12, safe ** (e - 1.0), 0.0)
+        grad_num = np.einsum("ij,ijk->ik", wsym * factor, grads)
+        grad_den = np.einsum("ij,ijk->ik", usym * factor, grads)
+        return r, (grad_num - r * grad_den) / den, den
+
+    best_r, best_pts, evaluations, stop, winner = float("inf"), None, 0, None, None
+    eig_pts = np.zeros((n, d))
+    eig_pts[:, 0] = data.eigenvectors[:, 1] / np.sqrt(chain.pi)
+    starts = [eig_pts] + [rng.standard_normal((n, d)) for _ in range(restarts - 1)]
+    for k, pts in enumerate(starts):
+        pts = pts.astype(float).copy()
+        stale, reason = 0, "iteration_cap"
+        for it in range(iters):
+            evaluations += 1
+            out = evaluate(pts)
+            if out is None:
+                reason = "stalled"
+                break
+            r, grad, den = out
+            if r < best_r - 1e-15:
+                best_r, best_pts, winner = r, pts.copy(), k
+                stale = 0
+            else:
+                stale += 1
+                if stale > 50:
+                    reason = "stalled"
+                    break
+            pts = pts - (0.1 / math.sqrt(it + 1.0)) * grad
+            pts = pts / max(den, 1e-300) ** (1.0 / e)
+        if winner == k:
+            stop = reason
+    value = float("inf") if best_r < rayleigh.ZERO_QUOTIENT else 1.0 / best_r
+    return value, best_pts, evaluations, stop, winner
+
+
+def _heuristic_spaces(d, theta, rng):
+    q = rng.standard_normal((d, d))
+    return [MetricSpace.lp(2.0, d, theta), MetricSpace.lp(float("inf"), d, theta),
+            MetricSpace.lp(1.0, d, theta), MetricSpace.lp(1.5, d, theta),
+            MetricSpace.lp(3.0, d, theta),
+            MetricSpace.ellipsoid_space(EllipsoidNorm(q @ q.T + np.eye(d)), theta),
+            MetricSpace.polytope(rng.standard_normal((d + 2, d)), theta)]
+
+
+def _heuristic_instances():
+    """Every norm kind at each theta and p, with n, d and (restarts, iters)
+    cycling through their values; then the identity chain, shapes on both
+    sides of the stack-size cut (n^2 max(d, F) = 2,048 stacks two restarts,
+    4,096 one), and an instance whose witness is recomputed from its start."""
+    rng = np.random.default_rng(12)
+    runs = [(1, 5), (2, 40), (4, 60), (9, 120), (32, 80)]
+    grid = itertools.product((0.5, 0.7, 1.0), (1.0, 1.5, 2.0, 3.0))
+    for k, (theta, p) in enumerate(grid):
+        n, d = (2, 3, 5, 8)[k % 4], (1, 2, 3)[k % 3]
+        chain = markov.random_reversible_chain(n, rng)
+        for j, space in enumerate(_heuristic_spaces(d, theta, rng)):
+            yield chain, space, p, *runs[(k + j) % 5], k + j
+    yield identity_chain(3), MetricSpace.lp(2.0, 3), 2.0, 4, 60, 0
+    cross = MetricSpace.polytope(np.eye(3))  # 8 facets: 8^2 8 entries, stacks of 8
+    for n, space, restarts, iters in [(8, cross, 9, 40),
+                                      (16, MetricSpace.lp(float("inf"), 8), 5, 30),
+                                      (22, MetricSpace.lp(1.0, 4), 3, 20),
+                                      (23, MetricSpace.lp(1.0, 4), 3, 20),
+                                      (32, MetricSpace.lp(3.0, 4), 3, 20)]:
+        yield markov.random_reversible_chain(n, rng), space, 2.0, restarts, iters, n
+    chain = markov.random_reversible_chain(3, np.random.default_rng(48))
+    yield chain, MetricSpace.lp(2.0, 1, 0.7), 2.0, 32, 80, 48
+
+
+def test_heuristic_matches_sequential_reference_bit_for_bit(monkeypatch):
+    """Restarts stepped together in stacks give the value, witness,
+    evaluation count and stop reason of running them one after another."""
+    recomputed = []
+    trajectory = ascent.trajectory
+
+    def counted(evaluate, start, steps):
+        recomputed.append(steps)
+        return trajectory(evaluate, start, steps)
+
+    monkeypatch.setattr(ascent, "trajectory", counted)
+    winners = set()
+    for chain, space, p, restarts, iters, seed in _heuristic_instances():
+        value, points, evaluations, stop, winner = _reference_heuristic(
+            chain, space, p, restarts, iters, seed)
+        est = rayleigh.gamma_heuristic(chain, space, p, restarts=restarts, iters=iters,
+                                       seed=seed)
+        assert est.value == value
+        np.testing.assert_array_equal(est.witness.points, points)
+        assert (est.iterations, est.stop) == (evaluations, stop)
+        assert est.to_json()["iterations"] == evaluations
+        winners.add(winner > 0)
+    assert winners == {True, False}  # some witnesses come from a later restart
+    assert recomputed  # and one is recomputed from its start
+
+
+def test_heuristic_collapsed_restart_counts_as_stalled():
+    """A restart that collapses to a constant configuration stops there: the
+    collapsing evaluation counts, and the stop reason is stalled.  Here the
+    stack's second row collapses at step 1, after a quotient that beats every
+    quotient of the first row, which collapses at step 3."""
+    quotients = {0: [1.0, 0.9, 0.8], 1: [0.5]}
+
+    def evaluate(pts):
+        rows = [int(row) for row in pts[:, 0, 0]]
+        t = evaluate.steps
+        evaluate.steps += 1
+        r = np.array([quotients[row][t] if t < len(quotients[row]) else np.nan
+                      for row in rows])
+        collapsed = [pos for pos, row in enumerate(rows) if t >= len(quotients[row])]
+        return r, np.zeros_like(pts), np.ones((len(rows), 1, 1)), collapsed
+
+    evaluate.steps = 0
+    starts = np.arange(2.0)[:, None, None] * np.ones((2, 3, 1))
+    rule = ascent.InOrder()
+    ascent.lockstep(evaluate, starts, 0, 10, rule)
+    assert (rule.best, rule.evaluations, rule.stop) == (0.5, 6, "stalled")
+    assert rule.holder[0] == 1 and rule.holder[2] == 0
+    np.testing.assert_array_equal(rule.witness, starts[1])
+
+
+def test_heuristic_many_restarts_traced_peak_under_2mb():
+    """Starts are drawn a stack at a time and only the current stack keeps a
+    record, so 100,000 one-step restarts stay under 2 MB; a list of their
+    starts alone would take about 16 MB."""
+    chain = markov.random_reversible_chain(3, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        est = rayleigh.gamma_heuristic(chain, MetricSpace.lp(3.0, 2), 2.0,
+                                       restarts=100_000, iters=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (est.iterations, est.stop) == (100_000, "iteration_cap")
+    assert peak < 2 * 2**20
+
 
 def test_heuristic_recovers_hilbert_gap():
     rng = np.random.default_rng(21)
