@@ -101,6 +101,13 @@ class InOrder:
         self.stale += 1
         return self.stale > 50
 
+    def skip(self, count: int):
+        """Take `count` quotients of the current restart, none of which beats
+        the best less 1e-15, at once; the step it stops at, or None."""
+        at = 50 - self.stale
+        self.stale = min(self.stale + count, 51)
+        return at if at < count else None
+
     def finish(self, evaluations: int, stop: str) -> None:
         self.evaluations += evaluations
         if self.holder is not None and self.holder[0] == self.restart:
@@ -126,7 +133,8 @@ def lockstep(evaluate, starts, first: int, iters: int, rule: InOrder) -> None:
     beat neither the current best less 1e-15 nor its own earlier quotients:
     no such step is a new best from any best the earlier restarts can leave,
     so the row has stopped by then, perhaps some steps before.  When row 0
-    stops, the next restart is fed its record and takes its place."""
+    stops, the next restart is fed its record and takes its place; a record
+    whose own best does not beat the best less 1e-15 is taken at once."""
     size = len(starts)
     pts, rows = starts.copy(), list(range(size))
     left, collapsed_rows = {}, set()  # rows off the stack: their recorded steps
@@ -172,7 +180,10 @@ def lockstep(evaluate, starts, first: int, iters: int, rule: InOrder) -> None:
                     return
                 rule.begin(first + k, starts[k])
                 steps = left.get(k, t + 1)
-                s = _feed_record(rule, record[:steps, k].tolist(), snap[k], snap_at[k])
+                if own[k] < rule.best - 1e-15:  # some recorded quotient is a new best
+                    s = _feed_record(rule, record[:steps, k].tolist(), snap[k], snap_at[k])
+                else:  # every recorded quotient is stale, NaN ones too
+                    s = rule.skip(steps)
                 if s is not None:
                     rule.finish(s + 1, "stalled")
                 elif k in collapsed_rows:

@@ -253,12 +253,15 @@ def _cmd_extrapolate(args) -> dict:
 def _cmd_john(args) -> dict:
     space = space_from_json(_load_json(args.space))
     out = john.hilbert_distance(space)
-    return {
+    report = {
         "D_X": out["D_X"],
         "Q": out["H"].Q.tolist(),
         "approximate": out["approximate"],
         "provenance": "heuristic" if out["approximate"] else "exact",
     }
+    # the MVEE's solver record, where it ran
+    report.update((k, out[k]) for k in ("iterations", "stop", "residual") if k in out)
+    return report
 
 
 def _cmd_embed(args) -> dict:
@@ -284,6 +287,7 @@ def _cmd_verify_duality(args) -> dict:
 
 
 def _cmd_expander(args) -> dict:
+    expander.check_spectral_size(args.n)  # before sampling a graph it would reject
     g = expander.random_regular_graph(args.n, args.d, args.seed)
     chain = expander.graph_chain(g)
     spec = markov.spectral_data(chain)

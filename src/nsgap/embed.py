@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
+from numpy.linalg import LinAlgError  # the class scipy.linalg raises too
 
 from .errors import (
     ConstantConfiguration,
@@ -162,6 +162,8 @@ def _schur(G: np.ndarray, K: np.ndarray, I: np.ndarray, J: np.ndarray) -> np.nda
 def _cone_step(x: np.ndarray, dx: np.ndarray) -> float:
     """Largest a with x + a dx in the cone: PSD for matrices, >= 0 for vectors."""
     if x.ndim == 2:
+        from scipy.linalg import eigh
+
         low = eigh(dx, x, eigvals_only=True)[0]
         return -1.0 / low if low < 0 else math.inf
     neg = dx < 0
@@ -181,6 +183,8 @@ def _gram_ipm(C: np.ndarray, c: np.ndarray, V: np.ndarray, I: np.ndarray,
     Starts strictly feasible: X = xi I (a_k^T a_k = 2) and y = t 1
     (sum_k a_k a_k^T = n I).  Returns X, y, the iterations and the stop
     reason; a failed factorization keeps the last iterate."""
+    from scipy.linalg import cho_factor, cho_solve
+
     n, r = V.shape
     eye = np.eye(r)
     X = eye * (np.min(c) / 4.0)
@@ -293,6 +297,8 @@ def average_embed_hilbert(dist, mu, theta: float) -> GramEmbedding:
     weights[I, J] = np.maximum(y, 0.0)
     weights += weights.T
     L_y = np.diag(weights.sum(axis=1)) - weights
+    from scipy.linalg import eigh
+
     try:
         s = eigh(L_mu, L_y + np.trace(L_y) / n**2, eigvals_only=True)[-1]
         dual_bound = float(s * np.sum(weights * caps) / total)

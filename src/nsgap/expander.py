@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import (
     Disconnected,
@@ -39,9 +37,11 @@ class RegularGraph:
     edges: tuple  # tuple of (u, v) pairs, u < v
     connected: bool
 
-    def adjacency(self) -> csr_matrix:
-        """Sparse symmetric adjacency of the edge list; every graph search
-        and the dense walk matrix are built from it."""
+    def adjacency(self):
+        """Sparse symmetric adjacency of the edge list (a scipy csr_matrix);
+        every graph search and the dense walk matrix are built from it."""
+        from scipy.sparse import csr_matrix
+
         u, v = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
         rows = np.concatenate([u, v])
         cols = np.concatenate([v, u])
@@ -51,14 +51,16 @@ class RegularGraph:
         return self.adjacency().toarray()
 
 
-def _check_spectral_size(g: RegularGraph) -> None:
-    """Reject graphs whose dense n x n arrays the spectral cap forbids,
-    before any of them is allocated."""
-    if g.n > SPECTRAL_N_CAP:
+def check_spectral_size(n: int) -> None:
+    """Reject graphs on n vertices whose dense n x n arrays the spectral cap
+    forbids, before any of them (or the graph itself) is allocated."""
+    if n > SPECTRAL_N_CAP:
         raise UnsupportedSpace(f"dense graph ops capped at n = {SPECTRAL_N_CAP}")
 
 
 def _is_connected(g: RegularGraph) -> bool:
+    from scipy.sparse.csgraph import connected_components
+
     return connected_components(g.adjacency(), directed=False,
                                  return_labels=False) == 1
 
@@ -96,7 +98,7 @@ def random_regular_graph(n: int, d: int, seed: int) -> RegularGraph:
 
 def graph_chain(g: RegularGraph) -> StochasticChain:
     """Normalized adjacency walk with uniform stationary distribution."""
-    _check_spectral_size(g)
+    check_spectral_size(g.n)
     A = g.adjacency_matrix() / g.d
     pi = np.full(g.n, 1.0 / g.n)
     return build_reversible_chain(A, pi)
@@ -104,6 +106,8 @@ def graph_chain(g: RegularGraph) -> StochasticChain:
 
 def bfs_distances(g: RegularGraph, source: int) -> np.ndarray:
     """Hop counts from `source`; the uint16 maximum marks unreachable vertices."""
+    from scipy.sparse.csgraph import shortest_path
+
     dist = shortest_path(g.adjacency(), unweighted=True, indices=source)
     unreachable = np.iinfo(np.uint16).max
     return np.where(np.isinf(dist), unreachable, dist).astype(np.uint16)
@@ -112,7 +116,9 @@ def bfs_distances(g: RegularGraph, source: int) -> np.ndarray:
 def distance_spread_check(g: RegularGraph) -> dict:
     """From every vertex, at least n/2 vertices should sit at graph distance
     at least floor(log_d(n/2)); reports the worst count over sources."""
-    _check_spectral_size(g)
+    from scipy.sparse.csgraph import shortest_path
+
+    check_spectral_size(g.n)
     # every hop count is finite exactly when the graph is connected
     dist = shortest_path(g.adjacency(), unweighted=True)
     if not g.connected or np.isinf(dist).any():

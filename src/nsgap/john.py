@@ -32,9 +32,9 @@ def crosspolytope_vertices(d: int) -> np.ndarray:
     return np.vstack([eye, -eye])
 
 
-def mvee(points) -> EllipsoidNorm:
+def mvee(points) -> tuple:
     """Minimum-volume origin-centered ellipsoid containing the given points
-    and their negations.
+    and their negations, with its solver record.
 
     Vertex exchange on the D-optimal design dual (Boehning 1986): with
     M(u) = sum_i u_i p_i p_i^T over the given points (p and -p share the
@@ -46,7 +46,9 @@ def mvee(points) -> EllipsoidNorm:
     are recomputed exactly every MVEE_REFRESH steps and before convergence
     is declared.  The ellipsoid is {y : y^T Q y <= 1} with Q = M^{-1}/d,
     rescaled so the farthest point sits exactly on the boundary.  More than
-    MVEE_CAP steps raise NoConvergence.
+    MVEE_CAP steps raise NoConvergence.  The record holds the steps taken,
+    the stop reason and the residual max level / d - 1 of the final exact
+    recomputation.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     m, d = pts.shape
@@ -88,7 +90,9 @@ def mvee(points) -> EllipsoidNorm:
     worst = float(np.max(np.einsum("ij,jk,ik->i", pts, Q, pts)))
     if worst > 1.0:
         Q = Q / worst
-    return EllipsoidNorm(Q)
+    record = {"iterations": it, "stop": "converged",
+              "residual": float(levels[j_plus]) / d - 1.0}
+    return EllipsoidNorm(Q), record
 
 
 def _exact_levels(pts: np.ndarray, u: np.ndarray) -> tuple:
@@ -115,7 +119,8 @@ def hilbert_distance(space: MetricSpace) -> dict:
     over facet normals when a facet description exists and over sampled
     directions otherwise (max(1000, 50 d) at seed 0 span the ball, 1000 at
     seed 1 estimate D_X; the sampling slack is reported).  For polytopal
-    balls in dimension d, D_X <= sqrt(d).
+    balls in dimension d, D_X <= sqrt(d).  Where the MVEE ran, its solver
+    record (`iterations`, `stop`, `residual`) is reported too.
     """
     if not space.is_normed:
         raise UnsupportedSpace("the Hilbertian sandwich requires a normed space")
@@ -138,7 +143,7 @@ def hilbert_distance(space: MetricSpace) -> dict:
         verts = dirs / pair_norms(space, dirs)[0][:, None]
     else:
         verts, normals = space.vertices, space.facets
-    ell = mvee(verts)
+    ell, record = mvee(verts)
     if approximate:
         # directional estimate of the upper factor on fresh samples
         rng = np.random.default_rng(np.random.SeedSequence(1))
@@ -153,7 +158,7 @@ def hilbert_distance(space: MetricSpace) -> dict:
             ell = EllipsoidNorm(ell.Q / (1.0 + lower_violation) ** 2)
             dx *= 1.0 + lower_violation
         return {"D_X": dx, "H": ell, "approximate": True,
-                "sampling_slack": lower_violation}
+                "sampling_slack": lower_violation, **record}
     inv = np.linalg.inv(ell.Q)
     dx = float(np.sqrt(np.max(np.einsum("ij,jk,ik->i", normals, inv, normals))))
-    return {"D_X": max(dx, 1.0), "H": ell, "approximate": False}
+    return {"D_X": max(dx, 1.0), "H": ell, "approximate": False, **record}

@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     InvalidPower,
@@ -53,6 +52,8 @@ def _stationary_vector(A: np.ndarray) -> np.ndarray:
     """Solve pi A = pi, sum(pi) = 1 by a direct least-squares solve.  An edge
     leaving a strongly connected class of the support marks transient states,
     which rule out a strictly positive solution, so the solve is skipped."""
+    from scipy.sparse.csgraph import connected_components
+
     _, labels = connected_components(A > 0, connection="strong")
     src, dst = np.nonzero(A > 0)
     if np.any(labels[src] != labels[dst]):

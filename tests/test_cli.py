@@ -78,6 +78,27 @@ def test_john_subcommand(tmp_path):
     assert payload["report"]["provenance"] == "exact"
 
 
+@pytest.mark.parametrize("p", [3.0, float("inf")])
+def test_john_reports_mvee_record(tmp_path, p):
+    """A report whose ellipsoid came from the MVEE carries its iterations,
+    stop reason and residual, the same on a rerun; a Euclidean one, which
+    runs no MVEE, carries none."""
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps(space_to_json(MetricSpace.lp(p, 3))))
+    reports = []
+    for name in ("a.json", "b.json"):
+        code, out = run_to_file(tmp_path, ["john", "--space", str(space)], name=name)
+        assert code == 0
+        reports.append(json.loads(out.read_text())["report"])
+    assert reports[0] == reports[1]
+    assert reports[0]["stop"] == "converged"
+    assert reports[0]["iterations"] >= 0
+    assert abs(reports[0]["residual"]) <= 1e-7
+    space.write_text(json.dumps(space_to_json(MetricSpace.lp(2.0, 3))))
+    _, out = run_to_file(tmp_path, ["john", "--space", str(space)], name="l2.json")
+    assert not {"iterations", "stop", "residual"} & set(json.loads(out.read_text())["report"])
+
+
 def test_embed_then_verify_duality(tmp_path, lazy_cycle_file):
     dist = [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]
     metric = tmp_path / "metric.json"
@@ -215,6 +236,70 @@ def test_output_to_stdout_pipe(tmp_path):
     assert json.loads(proc.stdout)["report"]["graph"]["n"] == 16
 
 
+# runs each argv of the JSON list in argv[1] through cli.run in this one
+# process; prints the scipy modules loaded at import and after each command
+SCIPY_PROBE = """
+import json, sys
+import nsgap.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+loaded = [("import nsgap.cli", 0, scipy_modules())]
+for argv in json.loads(sys.argv[1]):
+    loaded.append((" ".join(argv[:1]), nsgap.cli.run(argv), scipy_modules()))
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_free_commands_load_no_scipy(tmp_path, flip_chain_file, lazy_cycle_file):
+    """Only embeddings, graphs, polytope spaces and chains given without pi
+    need scipy; importing the CLI and running anything else loads none of it."""
+    def write(name, obj):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    lp3 = write("lp3.json", space_to_json(MetricSpace.lp(3.0, 3)))
+    linf = write("linf.json", space_to_json(MetricSpace.lp(float("inf"), 3)))
+    ellipsoid = write("ellipsoid.json", {"kind": "ellipsoid", "Q": [[2.0, 0.5], [0.5, 1.0]]})
+    finite = write("finite.json", space_to_json(
+        MetricSpace.finite(np.array([[0.0, 1.0], [1.0, 0.0]]))))
+    f = write("f.json", {"weights": [0.5, 0.5], "values": [[1.0, 0.0, 2.0], [0.0, 2.0, 1.0]]})
+    g = write("g.json", {"weights": [0.5, 0.5], "values": [[0.5, 1.0, 0.0], [1.0, 0.0, 1.0]]})
+    metric = write("metric.json", [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]])
+    emb = write("emb.json", {"report": {"D_achieved": 1.0}})
+    runs = [
+        ["gap", "--chain", lazy_cycle_file, "--space", lp3, "--restarts", "2",
+         "--iters", "20"],
+        ["gap", "--chain", lazy_cycle_file, "--space", ellipsoid],
+        ["gap", "--chain", flip_chain_file, "--space", finite, "--p", "1"],
+        ["gap-plus", "--chain", flip_chain_file, "--space", finite],
+        ["john", "--space", lp3],
+        ["john", "--space", linf],
+        ["mazur-check", "--function", f, "--space", lp3, "--p", "1", "--q", "2"],
+        ["mazur-check", "--function", f, "--function-b", g, "--space", lp3,
+         "--p", "1", "--q", "2"],
+        ["rayleigh-check", "--chain", lazy_cycle_file],
+        ["extrapolate", "--chain", lazy_cycle_file, "--space", lp3, "--p", "1", "--q", "2"],
+        ["verify-duality", "--embedding", emb, "--chain", lazy_cycle_file,
+         "--metric", metric, "--theta", "0.5"],
+        ["bounds", "--formula", "dimension"],
+        ["bounds", "--formula", "distortion"],
+        ["bounds", "--formula", "coarse"],
+    ]
+    runs = [argv + ["--output", str(tmp_path / f"out{k}.json")]
+            for k, argv in enumerate(runs)]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nsgap.__file__)))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(runs)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert len(loaded) == len(runs) + 1
+    for step, code, modules in loaded:
+        assert (step, code, modules) == (step, 0, []), proc.stderr
+
+
 def test_unknown_subcommand_exit_64(capsys):
     assert cli.run(["no-such-command"]) == 64
 
@@ -313,6 +398,15 @@ def test_numerical_failure_exit_3(monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli.expander, "random_regular_graph", boom)
     assert cli.run(["expander", "--n", "16", "--d", "3"]) == 3
+
+
+def test_expander_over_the_spectral_cap_exits_before_sampling(monkeypatch, capsys):
+    def sample(n, d, seed):
+        raise AssertionError("a graph over the cap was sampled")
+
+    monkeypatch.setattr(cli.expander, "random_regular_graph", sample)
+    assert cli.run(["expander", "--n", "100000", "--d", "4"]) == 2
+    assert f"dense graph ops capped at n = {markov.SPECTRAL_N_CAP}" in capsys.readouterr().err
 
 
 def test_repeat_invocations_bit_identical(tmp_path, flip_chain_file,

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import LinAlgError, eigh
 from scipy.sparse.csgraph import shortest_path
 
@@ -244,7 +245,8 @@ def test_certificates_hold_without_convergence(monkeypatch):
     def broken(*args, **kwargs):
         raise LinAlgError("not positive definite")
 
-    monkeypatch.setattr(embed, "cho_factor", broken)
+    # the solver imports cho_factor from scipy.linalg when it runs
+    monkeypatch.setattr(scipy.linalg, "cho_factor", broken)
     stalled = embed.average_embed_hilbert(dist, mu, 1.0)
     for emb, stop, iterations in ((capped, "iteration_cap", 2), (stalled, "stalled", 0)):
         assert (emb.stop, emb.iterations) == (stop, iterations)

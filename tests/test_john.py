@@ -10,19 +10,19 @@ from nsgap.spaces import MetricSpace
 
 
 def test_mvee_square_corners():
-    ell = john.mvee([[1.0, 1.0], [1.0, -1.0]])
+    ell, _ = john.mvee([[1.0, 1.0], [1.0, -1.0]])
     np.testing.assert_allclose(ell.Q, np.eye(2) / 2.0, atol=1e-6)
 
 
 def test_mvee_cross_polytope():
-    ell = john.mvee([[1.0, 0.0], [0.0, 1.0]])
+    ell, _ = john.mvee([[1.0, 0.0], [0.0, 1.0]])
     np.testing.assert_allclose(ell.Q, np.eye(2), atol=1e-6)
 
 
 def test_mvee_random_cloud_containment():
     rng = np.random.default_rng(0)
     pts = rng.standard_normal((20, 3))
-    ell = john.mvee(pts)
+    ell, _ = john.mvee(pts)
     levels = np.einsum("ij,jk,ik->i", pts, ell.Q, pts)
     assert np.max(levels) <= 1.0 + 1e-6
 
@@ -68,7 +68,7 @@ def test_mvee_matches_khachiyan_reference(d):
     rng = np.random.default_rng(d)
     for trial in range(3):
         pts = rng.standard_normal((10 * d + 5 * trial, d)) * rng.uniform(0.5, 2.0, size=d)
-        Q = john.mvee(pts).Q
+        Q = john.mvee(pts)[0].Q
         ref = _khachiyan_reference(pts)
         logdet, ref_logdet = np.linalg.slogdet(Q)[1], np.linalg.slogdet(ref)[1]
         assert abs(logdet - ref_logdet) <= 1e-6 * abs(ref_logdet)
@@ -78,10 +78,23 @@ def test_mvee_matches_khachiyan_reference(d):
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_mvee_regular_polytopes_stop_at_step_zero(d, monkeypatch):
     monkeypatch.setattr(john, "MVEE_CAP", 1)
-    cube = john.mvee(john.hypercube_vertices(d))
+    cube, _ = john.mvee(john.hypercube_vertices(d))
     np.testing.assert_allclose(cube.Q, np.eye(d) / d, rtol=1e-15, atol=0)
-    cross = john.mvee(john.crosspolytope_vertices(d))
+    cross, _ = john.mvee(john.crosspolytope_vertices(d))
     np.testing.assert_allclose(cross.Q, np.eye(d), rtol=1e-15, atol=0)
+
+
+def test_mvee_solver_record():
+    """Steps taken, stop reason and the final level residual, which the
+    convergence test keeps within MVEE_TOL; the same points give the same
+    record."""
+    pts = np.random.default_rng(7).standard_normal((40, 3))
+    _, record = john.mvee(pts)
+    assert record == john.mvee(pts)[1]
+    assert record["iterations"] > 0 and record["stop"] == "converged"
+    assert -1e-12 <= record["residual"] <= john.MVEE_TOL
+    _, cube = john.mvee(john.hypercube_vertices(3))
+    assert cube["iterations"] == 0 and abs(cube["residual"]) <= 1e-12
 
 
 def test_mvee_iteration_cap_raises(monkeypatch):

@@ -531,6 +531,20 @@ def test_heuristic_collapsed_restart_counts_as_stalled():
     np.testing.assert_array_equal(rule.witness, starts[1])
 
 
+def test_in_order_skip_matches_feeding_stale_quotients():
+    """Taking a run of quotients none of which beats the best at once leaves
+    the rule where feeding them one at a time does, NaN ones included."""
+    record = [1.0, math.nan, 2.0] * 20
+    for count in range(len(record)):
+        for stale in (0, 7):
+            fed, skipped = ascent.InOrder(), ascent.InOrder()
+            for rule in (fed, skipped):
+                rule.best, rule.stale = 1.0, stale
+            stop = next((s for s, r in enumerate(record[:count]) if fed.feed(r, s, None)),
+                        None)
+            assert (skipped.skip(count), skipped.stale, skipped.best) == (stop, fed.stale, 1.0)
+
+
 def test_heuristic_many_restarts_traced_peak_under_2mb():
     """Starts are drawn a stack at a time and only the current stack keeps a
     record, so 100,000 one-step restarts stay under 2 MB; a list of their
