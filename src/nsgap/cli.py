@@ -6,8 +6,8 @@ version and a hash of the configuration, so identical invocations produce
 bit-identical output.  Numeric results carry a provenance tag out of
 {exact, brute_force, heuristic, fitted}.
 
-Exit codes: 0 success, 2 invalid input, 3 numerical failure, 64 unknown
-subcommand.
+Exit codes: 0 success, 2 invalid input (an input file that cannot be read or
+converted is invalid input), 3 numerical failure, 64 unknown subcommand.
 """
 
 from __future__ import annotations
@@ -24,13 +24,27 @@ import sys
 import numpy as np
 
 from . import __version__, embed, expander, john, markov, mazur, rayleigh, suite
-from .errors import EmptyFamily, NumericalError, ValidationError
+from .errors import DimensionMismatch, EmptyFamily, NumericalError, ValidationError
 from .spaces import Configuration, MetricSpace, space_from_json
 
 
-def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _read(path: str, parse, decode=json.loads):
+    """parse(decode(text)) of the input file at path.  Failing to open, decode
+    or convert it is invalid input: the error is raised again as a
+    ValidationError with its message."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(decode(fh.read()))
+    except (OSError, ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise ValidationError(str(exc)) from exc
+
+
+def _matrix(obj) -> np.ndarray:
+    """A JSON array of rows as a 2-D float array."""
+    m = np.array(obj, dtype=float)
+    if m.ndim != 2:
+        raise DimensionMismatch(f"expected an n x d array, got shape {m.shape}")
+    return m
 
 
 def _jsonable(value):
@@ -98,9 +112,8 @@ def _emit(report: dict, config: dict, args) -> None:
 
 def _chain_from_arg(path: str) -> markov.StochasticChain:
     if path.endswith(".json"):
-        return markov.chain_from_json(_load_json(path))
-    with open(path, "r", encoding="utf-8") as fh:
-        return markov.chain_from_text(fh.read())
+        return _read(path, markov.chain_from_json)
+    return _read(path, markov.chain_from_text, decode=str)
 
 
 @functools.cache
@@ -205,21 +218,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gap(args) -> dict:
     chain = _chain_from_arg(args.chain)
-    space = space_from_json(_load_json(args.space))
+    space = _read(args.space, space_from_json)
     return rayleigh.estimate_gap(chain, space, args.p, args.method, restarts=args.restarts,
                                  iters=args.iters, seed=args.seed).to_json()
 
 
 def _cmd_gap_plus(args) -> dict:
     chain = _chain_from_arg(args.chain)
-    space = space_from_json(_load_json(args.space))
+    space = _read(args.space, space_from_json)
     return rayleigh.gamma_plus_bruteforce(chain, space, args.q).to_json()
 
 
 def _cmd_rayleigh_check(args) -> dict:
     chain = _chain_from_arg(args.chain)
     if args.points:
-        pts = np.array(_load_json(args.points), dtype=float)
+        pts = _read(args.points, _matrix)
     else:
         rng = np.random.default_rng(np.random.SeedSequence(args.seed))
         pts = rng.standard_normal((chain.n, 2))
@@ -231,10 +244,10 @@ def _cmd_rayleigh_check(args) -> dict:
 
 
 def _cmd_mazur_check(args) -> dict:
-    space = space_from_json(_load_json(args.space))
-    f = mazur.WeightedVectorFunction.from_json(_load_json(args.function))
+    space = _read(args.space, space_from_json)
+    f = _read(args.function, mazur.WeightedVectorFunction.from_json)
     if args.function_b:
-        g = mazur.WeightedVectorFunction.from_json(_load_json(args.function_b))
+        g = _read(args.function_b, mazur.WeightedVectorFunction.from_json)
         scales = [0.8**k for k in range(20)]
         out = mazur.mazur_holder_check(f, g, space, args.p, args.q, scales)
         out["provenance"] = "fitted"
@@ -246,12 +259,12 @@ def _cmd_mazur_check(args) -> dict:
 
 def _cmd_extrapolate(args) -> dict:
     chain = _chain_from_arg(args.chain)
-    space = space_from_json(_load_json(args.space))
+    space = _read(args.space, space_from_json)
     return mazur.extrapolation_check(chain, space, args.p, args.q)
 
 
 def _cmd_john(args) -> dict:
-    space = space_from_json(_load_json(args.space))
+    space = _read(args.space, space_from_json)
     out = john.hilbert_distance(space)
     report = {
         "D_X": out["D_X"],
@@ -265,11 +278,11 @@ def _cmd_john(args) -> dict:
 
 
 def _cmd_embed(args) -> dict:
-    dist = np.array(_load_json(args.metric), dtype=float)
+    dist = _read(args.metric, _matrix)
     if args.mu == "uniform":
         mu = np.full(dist.shape[0], 1.0 / dist.shape[0])
     else:
-        mu = np.array(_load_json(args.mu), dtype=float)
+        mu = _read(args.mu, lambda obj: np.array(obj, dtype=float))
     emb = embed.average_embed_hilbert(dist, mu, args.theta)
     out = emb.to_json()
     out["provenance"] = "heuristic"
@@ -277,11 +290,11 @@ def _cmd_embed(args) -> dict:
 
 
 def _cmd_verify_duality(args) -> dict:
-    payload = _load_json(args.embedding)
-    rec = payload.get("report", payload)
+    # the embed report, or its "report" member
+    D = _read(args.embedding, lambda rec: float(rec.get("report", rec)["D_achieved"]))
     chain = _chain_from_arg(args.chain)
-    dist = np.array(_load_json(args.metric), dtype=float)
-    out = embed.duality_forward_check(float(rec["D_achieved"]), chain, dist, args.theta)
+    dist = _read(args.metric, _matrix)
+    out = embed.duality_forward_check(D, chain, dist, args.theta)
     out["provenance"] = "exact"
     return out
 
@@ -400,7 +413,7 @@ def run(argv=None) -> int:
     except NumericalError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3
-    except (ValidationError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
+    except ValidationError as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return 2
     config = {k: v for k, v in vars(args).items() if k not in ("output",)}

@@ -92,6 +92,11 @@ class GramEmbedding:
         }
 
 
+def _check_theta(theta: float) -> None:
+    if not (0.0 < theta <= 1.0):
+        raise UnsupportedSpace("snowflake exponent must be in (0, 1]")
+
+
 def _check_weights(mu, n: int) -> np.ndarray:
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (n,):
@@ -256,8 +261,7 @@ def average_embed_hilbert(dist, mu, theta: float) -> GramEmbedding:
     if n < 2:
         raise ConstantConfiguration("every embedding of a one-point metric is constant")
     mu = _check_weights(mu, n)
-    if not (0.0 < theta <= 1.0):
-        raise UnsupportedSpace("snowflake exponent must be in (0, 1]")
+    _check_theta(theta)
     caps = dist ** (2.0 * theta)
     weight = np.outer(mu, mu)
     total = float(np.sum(weight * caps))
@@ -321,6 +325,7 @@ def evaluate_average_distortion(points, dist, mu, q: float, theta: float) -> dic
     mu = _check_weights(mu, n)
     if q < 1.0:
         raise UnsupportedSpace("average distortion requires q >= 1")
+    _check_theta(theta)
     emb = pair_norms(MetricSpace.lp(2.0, points.shape[1]),
                      points[:, None, :] - points[None, :, :])[0]
     off = ~np.eye(n, dtype=bool)
@@ -343,6 +348,9 @@ def duality_forward_check(D: float, chain: StochasticChain, dist, theta: float) 
     Certifies the gap of the chain over the snowflaked metric at the witness."""
     if not chain.reversible:
         raise NotReversibleChain("forward duality requires a reversible chain")
+    _check_theta(theta)
+    if not (0.0 <= D < math.inf):  # D^2 hides a negative sign
+        raise UnsupportedSpace(f"distortion must be finite and nonnegative, got {D}")
     dist = _validate_finite_metric(dist, positive=True)
     if dist.shape[0] != chain.n:
         raise SizeMismatch("metric size must match the state count")
@@ -382,6 +390,7 @@ def duality_witness_check(weights, configs, dist, mu, q: float, theta: float,
     if np.min(weights) <= 0:
         raise EmptyDecomposition("weights must be strictly positive")
     mu = _check_weights(mu, n)
+    _check_theta(theta)
     # ||f_i - f_j||^q = sum_k w_k ||y_i(k) - y_j(k)||_2^q
     per_cfg = pair_norms(MetricSpace.lp(2.0, configs.shape[-1]),
                          configs[:, :, None, :] - configs[:, None, :, :])[0]

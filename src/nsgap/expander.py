@@ -47,9 +47,6 @@ class RegularGraph:
         cols = np.concatenate([v, u])
         return csr_matrix((np.ones(rows.size), (rows, cols)), shape=(self.n, self.n))
 
-    def adjacency_matrix(self) -> np.ndarray:
-        return self.adjacency().toarray()
-
 
 def check_spectral_size(n: int) -> None:
     """Reject graphs on n vertices whose dense n x n arrays the spectral cap
@@ -99,7 +96,7 @@ def random_regular_graph(n: int, d: int, seed: int) -> RegularGraph:
 def graph_chain(g: RegularGraph) -> StochasticChain:
     """Normalized adjacency walk with uniform stationary distribution."""
     check_spectral_size(g.n)
-    A = g.adjacency_matrix() / g.d
+    A = g.adjacency().toarray() / g.d
     pi = np.full(g.n, 1.0 / g.n)
     return build_reversible_chain(A, pi)
 

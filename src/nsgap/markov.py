@@ -8,7 +8,6 @@ shares the eigenvalues of A when the chain is reversible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,26 +148,18 @@ def lazy_power(chain: StochasticChain, t: int) -> StochasticChain:
     return StochasticChain(n=chain.n, A=powered, pi=chain.pi, reversible=reversible)
 
 
-def gamma_plus_hilbert(chain: StochasticChain) -> float:
-    """Classical absolute gap 1/(1 - max_{i>=2} |lambda_i|)."""
-    mu = spectral_data(chain).meanzero_norm
-    if mu >= 1.0 - 1e-12:
-        return float("inf")
-    return 1.0 / (1.0 - mu)
-
-
 def meanzero_opnorm_bound_check(chain: StochasticChain) -> dict:
     """Check the operator-norm bound on the mean-zero subspace for a
     Hilbert target: ||A||_{mean-zero} <= (1 - 1/gamma_plus)^{1/2}, the
     uniform-convexity bound (1 - 1/((2^{q-1}-1) K^q gamma_plus))^{1/q} at
-    q = 2 and K = 1.  General uniformly convex targets are out of scope.
+    q = 2 and K = 1, with gamma_plus = 1/(1 - ||A||_{mean-zero}) the
+    classical absolute gap.  General uniformly convex targets are out of scope.
     """
-    data = spectral_data(chain)
-    lhs = data.meanzero_norm
-    gamma_plus = gamma_plus_hilbert(chain)
-    if np.isinf(gamma_plus):
+    lhs = spectral_data(chain).meanzero_norm
+    if lhs >= 1.0 - 1e-12:
         rhs = 1.0
     else:
+        gamma_plus = 1.0 / (1.0 - lhs)
         rhs = (1.0 - 1.0 / gamma_plus) ** 0.5
     return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs <= rhs + 1e-9)}
 
@@ -191,10 +182,8 @@ def random_reversible_chain(n: int, rng: np.random.Generator) -> StochasticChain
 
 def chain_from_json(obj) -> StochasticChain:
     """Accepts {"n": int, "rows": [[...]], "pi": optional [...]}."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
     rows = np.array(obj["rows"], dtype=float)
-    n = int(obj.get("n", rows.shape[0]))
+    n = int(obj.get("n", len(rows)))
     if rows.shape != (n, n):
         raise NotStochastic("rows do not form an n-by-n matrix")
     return build_reversible_chain(rows, obj.get("pi"))

@@ -8,7 +8,6 @@ extrapolation comparison for spectral gaps.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -54,8 +53,6 @@ class WeightedVectorFunction:
 
     @staticmethod
     def from_json(obj) -> "WeightedVectorFunction":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
         return WeightedVectorFunction(np.array(obj["weights"], dtype=float),
                                       np.array(obj["values"], dtype=float))
 

@@ -223,12 +223,10 @@ def criterion_6(seed: int) -> dict:
             "embeddings": embeddings}
 
 
-def criterion_7(seed: int, embeddings: dict | None = None) -> dict:
-    """Forward duality on every growth-law embedding against the lazy cube
-    walk, plus the assembled-map witness check with its scaled negative
-    control."""
-    if embeddings is None:
-        embeddings = criterion_6(seed)["embeddings"]
+def criterion_7(seed: int, embeddings: dict) -> dict:
+    """Forward duality on every growth-law embedding of criterion 6 against
+    the lazy cube walk, plus the assembled-map witness check with its scaled
+    negative control."""
     forward_ok = True
     slacks = {}
     witness_ok = True

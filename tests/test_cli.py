@@ -338,6 +338,74 @@ def test_invalid_json_exit_2(tmp_path, hilbert_space_file):
     assert cli.run(["gap", "--chain", str(bad), "--space", hilbert_space_file]) == 2
 
 
+@pytest.mark.parametrize("case", ["ragged_rows", "string_entry", "scalar_rows",
+                                  "dim_string", "space_array", "metric_object",
+                                  "metric_scalar", "directory"])
+def test_malformed_input_file_exit_2(tmp_path, lazy_cycle_file, hilbert_space_file,
+                                     capsys, case):
+    """Content that cannot be converted (and a path that is no file) is
+    invalid input: one line on stderr, no traceback."""
+    kind, payload = {
+        "ragged_rows": ("chain", {"rows": [[0.5, 0.5], [1.0]]}),
+        "string_entry": ("chain", {"rows": [["a", 1.0], [1.0, 0.0]]}),
+        "scalar_rows": ("chain", {"rows": 3}),
+        "dim_string": ("space", {"kind": "lp", "p": 2, "dim": "x"}),
+        "space_array": ("space", ["lp", 2, 2]),
+        "metric_object": ("metric", {"a": [0.0, 1.0]}),
+        "metric_scalar": ("metric", 5),
+        "directory": ("chain", None),
+    }[case]
+    path = tmp_path / f"{kind}.json"
+    if payload is None:
+        path.mkdir()
+    else:
+        path.write_text(json.dumps(payload))
+    argv = {
+        "chain": ["gap", "--chain", str(path), "--space", hilbert_space_file],
+        "space": ["gap", "--chain", lazy_cycle_file, "--space", str(path)],
+        "metric": ["embed", "--metric", str(path)],
+    }[kind]
+    code, out = run_to_file(tmp_path, argv)
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("theta, D_achieved", [("0", 1.0), ("-1", 1.0), ("2", 1.0),
+                                               ("0.5", "inf"), ("0.5", "nan"),
+                                               ("0.5", -3.0)])
+def test_verify_duality_rejects_bad_theta_and_distortion(tmp_path, lazy_cycle_file,
+                                                         theta, D_achieved):
+    """theta = 0 turns every distance into 1, so the product test held and was
+    tagged exact; theta < 0 gave lhs inf and rhs nan; an infinite D made any
+    inequality hold, and a negative D passed as its absolute value."""
+    emb = tmp_path / "emb.json"
+    emb.write_text(json.dumps({"report": {"D_achieved": D_achieved}}))
+    metric = tmp_path / "metric.json"
+    metric.write_text(json.dumps([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]))
+    code, out = run_to_file(tmp_path, [
+        "verify-duality", "--embedding", str(emb), "--chain", lazy_cycle_file,
+        "--metric", str(metric), "--theta", theta,
+    ])
+    assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("points", [[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                                    [0.0, 1.0, 2.0, 3.0]])
+def test_rayleigh_check_rejects_points_of_wrong_shape(tmp_path, lazy_cycle_file,
+                                                      capsys, points):
+    """Three rows on a four-state chain, and a flat list, are not n x d."""
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(points))
+    code, out = run_to_file(tmp_path, ["rayleigh-check", "--chain", lazy_cycle_file,
+                                       "--points", str(path)])
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("invalid input: ")
+
+
 def test_unavailable_gap_exit_2(tmp_path, flip_chain_file):
     """The identity chain has no finite gap, which is an input problem."""
     ident = tmp_path / "ident.json"

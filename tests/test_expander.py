@@ -247,7 +247,7 @@ def test_cubic_graphs_concentrate_below_095():
         hits = 0
         for seed in range(100):
             g = expander.random_regular_graph(n, 3, seed)
-            A = g.adjacency_matrix() / 3.0
+            A = g.adjacency().toarray() / 3.0
             lam2 = float(np.sort(np.linalg.eigvalsh(A))[-2])
             if lam2 <= 0.95:
                 hits += 1

@@ -156,6 +156,33 @@ def test_meanzero_bound_lazified_flip():
     assert rep["holds"]
 
 
+def test_meanzero_bound_makes_one_eigensolve(monkeypatch):
+    """The check solves each chain once and keeps the bits of the formula
+    that solved it twice: lhs = ||A||_0 and rhs = (1 - 1/gamma_plus)^{1/2}
+    with gamma_plus = 1/(1 - ||A||_0), rhs = 1 where gamma_plus is infinite."""
+    rng = np.random.default_rng(8)
+    chains = [markov.random_reversible_chain(int(rng.integers(2, 9)), rng)
+              for _ in range(100)]
+    chains.append(markov.build_reversible_chain(np.eye(3), np.full(3, 1.0 / 3.0)))
+    solve = markov.spectral_data
+    calls = []
+
+    def counted(chain):
+        calls.append(chain)
+        return solve(chain)
+
+    monkeypatch.setattr(markov, "spectral_data", counted)
+    for chain in chains:
+        calls.clear()
+        rep = markov.meanzero_opnorm_bound_check(chain)
+        assert calls == [chain]
+        lhs = solve(chain).meanzero_norm
+        mu = solve(chain).meanzero_norm
+        gamma_plus = float("inf") if mu >= 1.0 - 1e-12 else 1.0 / (1.0 - mu)
+        rhs = 1.0 if np.isinf(gamma_plus) else (1.0 - 1.0 / gamma_plus) ** 0.5
+        assert (rep["lhs"], rep["rhs"]) == (lhs, rhs)
+
+
 def test_gap_inequality_on_random_hilbert_configurations():
     """The reciprocal-gap constant is valid for random configurations and
     becomes invalid when shrunk by 1e-3 at the eigenvector configuration."""

@@ -12,6 +12,7 @@ from nsgap.errors import (
     ConstantConfiguration,
     DegenerateGap,
     InstanceTooLarge,
+    LengthMismatch,
     MismatchedStationary,
     UnsupportedSpace,
     ValidationError,
@@ -658,6 +659,14 @@ def test_calculus_rejects_mismatched_stationary():
     x = Configuration(MetricSpace.lp(2.0, 2), rng.standard_normal((3, 2)))
     with pytest.raises(MismatchedStationary):
         rayleigh.rayleigh_calculus_check(x, a, b, 0.5, 2, 1.0)
+
+
+def test_calculus_rejects_wrong_configuration_length():
+    chain = four_cycle()
+    x = Configuration(MetricSpace.lp(2.0, 2), np.ones((3, 2)))
+    with pytest.raises(LengthMismatch):
+        rayleigh.rayleigh_calculus_check(x, chain, markov.lazy_power(chain, 1),
+                                         0.5, 2, 2.0)
 
 
 def test_meanzero_square_norm_identity():
