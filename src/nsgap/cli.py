@@ -17,9 +17,11 @@ import functools
 import hashlib
 import json
 import math
+import operator
 import os
 import stat
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
@@ -47,42 +49,61 @@ def _matrix(obj) -> np.ndarray:
     return m
 
 
-def _jsonable(value):
+_PLAIN = {int, float}
+
+
+def _json(value, pad: str | None = "\n") -> str:
+    """JSON text of a report value, in one pass: the bytes of json.dumps with
+    sort_keys=True and indent=2 (pad, the newline and indent of the enclosing
+    level) or on one line (pad None).  Dict keys become str, tuples and arrays
+    lists, numpy scalars Python ones, and an infinite or NaN float the string
+    "inf", "-inf" or "nan"."""
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        if not value:
+            return "{}"
+        items = {str(k): v for k, v in value.items()}
+        inner = pad and pad + "  "
+        body = ("," + inner if pad else ", ").join(
+            f"{_encode_str(k)}: {_json(items[k], inner)}" for k in sorted(items))
+        return "{" + (inner or "") + body + (pad or "") + "}"
     if isinstance(value, np.ndarray):
-        return _jsonable(value.tolist())
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating, float)):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad and pad + "  "
+        if _PLAIN.issuperset(map(type, value)) and not any(map(operator.sub, value, value)):
+            parts = map(repr, value)  # plain ints and finite floats: x - x is 0
+        else:
+            parts = (_json(v, inner) for v in value)
+        return "[" + (inner or "") + ("," + inner if pad else ", ").join(parts) + (pad or "") + "]"
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return repr(int(value))
+    if isinstance(value, (float, np.floating)):
         value = float(value)
         if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return value
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    return value
+            return '"inf"' if value > 0 else '"-inf"'
+        return '"nan"' if math.isnan(value) else repr(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit(report: dict, config: dict, args) -> None:
-    config = _jsonable(config)
     payload = {
         "command": config["command"],
         "version": __version__,
         "seed": config["seed"],
         "config": config,
-        "config_hash": hashlib.sha256(
-            json.dumps(config, sort_keys=True).encode()
-        ).hexdigest(),
-        "report": _jsonable(report),
+        "config_hash": hashlib.sha256(_json(config, None).encode()).hexdigest(),
+        "report": report,
     }
     if args.format == "csv":
         lines = ["key,value"]
-        flat = payload["report"]
 
         def walk(prefix, node):
             if isinstance(node, dict):
@@ -94,10 +115,10 @@ def _emit(report: dict, config: dict, args) -> None:
             else:
                 lines.append(f"{prefix[:-1]},{node}")
 
-        walk("", flat)
+        walk("", json.loads(_json(report, None)))
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = _json(payload) + "\n"
     if args.output:
         # write over the old bytes and truncate after: truncating a written
         # file to zero at open starts its writeback; only regular files can

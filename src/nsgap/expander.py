@@ -9,6 +9,7 @@ explicit calibration constants, natural logarithms throughout.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +28,10 @@ from .rayleigh import estimate_gap
 from .spaces import MetricSpace
 
 RESAMPLE_BUDGET = 1000
+# stub entries one batch of candidate shuffles may hold
+DRAW_BATCH_CAP = 65_536
+# float64 entries of one column block of walk counts in the spread check
+SPREAD_BLOCK = 1 << 19
 GRAPH_N_CAP = 100_000
 
 
@@ -39,13 +44,23 @@ class RegularGraph:
 
     def adjacency(self):
         """Sparse symmetric adjacency of the edge list (a scipy csr_matrix);
-        every graph search and the dense walk matrix are built from it."""
+        every graph search and the dense walk matrix are built from it.  It is
+        built once per graph, and its arrays are read-only."""
+        return self._adjacency
+
+    @functools.cached_property
+    def _adjacency(self):
         from scipy.sparse import csr_matrix
 
+        n = self.n
         u, v = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
-        rows = np.concatenate([u, v])
-        cols = np.concatenate([v, u])
-        return csr_matrix((np.ones(rows.size), (rows, cols)), shape=(self.n, self.n))
+        # both orientations of every edge as keys row*n + col, in row-major order
+        keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+        indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+        adj = csr_matrix((np.ones(keys.size), keys % n, indptr), shape=(n, n))
+        for arr in (adj.data, adj.indices, adj.indptr):
+            arr.flags.writeable = False
+        return adj
 
 
 def check_spectral_size(n: int) -> None:
@@ -58,14 +73,22 @@ def check_spectral_size(n: int) -> None:
 def _is_connected(g: RegularGraph) -> bool:
     from scipy.sparse.csgraph import connected_components
 
-    return connected_components(g.adjacency(), directed=False,
+    # the adjacency is symmetric, so its strong components are its components,
+    # and the strong search needs no transpose
+    return connected_components(g.adjacency(), directed=True, connection="strong",
                                  return_labels=False) == 1
 
 
 def random_regular_graph(n: int, d: int, seed: int) -> RegularGraph:
     """Uniform-ish d-regular simple connected graph via the configuration
     model: shuffle n*d degree stubs, pair them up, resample on loops,
-    multi-edges or disconnection."""
+    multi-edges or disconnection.
+
+    Candidates are drawn k at a time with one `rng.permuted` call, whose rows
+    are those of k successive `rng.permutation(stubs)` calls; they are tried
+    in order, so a seed gives the graph of the first good shuffle, and the
+    budget counts shuffles.  k starts at 8 and doubles, within DRAW_BATCH_CAP
+    stub entries."""
     if d < 3 or n <= d:
         raise ValidationError("need d >= 3 and n > d")
     if (n * d) % 2 != 0:
@@ -74,20 +97,23 @@ def random_regular_graph(n: int, d: int, seed: int) -> RegularGraph:
         raise ValidationError(f"graph size capped at {GRAPH_N_CAP}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, n, d]))
     stubs = np.repeat(np.arange(n), d)
-    for _ in range(RESAMPLE_BUDGET):
-        perm = rng.permutation(stubs)
-        pairs = perm.reshape(-1, 2)
-        us, vs = pairs[:, 0], pairs[:, 1]
-        if np.any(us == vs):
-            continue
-        lo = np.minimum(us, vs)
-        hi = np.maximum(us, vs)
-        keys = lo.astype(np.int64) * n + hi
-        if np.unique(keys).size != keys.size:
-            continue
-        edges = tuple(sorted(zip(lo.tolist(), hi.tolist())))
-        if _is_connected(RegularGraph(n=n, d=d, edges=edges, connected=False)):
-            return RegularGraph(n=n, d=d, edges=edges, connected=True)
+    cap = max(1, DRAW_BATCH_CAP // stubs.size)
+    drawn, batch = 0, 8
+    while drawn < RESAMPLE_BUDGET:
+        k = min(batch, cap, RESAMPLE_BUDGET - drawn)
+        drawn, batch = drawn + k, 2 * batch
+        shuffles = rng.permuted(np.broadcast_to(stubs, (k, stubs.size)), axis=1)
+        us, vs = shuffles[:, 0::2], shuffles[:, 1::2]
+        loopless = ~np.any(us == vs, axis=1)
+        us, vs = us[loopless], vs[loopless]
+        # each row's edges as sorted keys lo*n + hi; a repeated key is a multi-edge
+        keys = np.sort(np.minimum(us, vs).astype(np.int64) * n + np.maximum(us, vs), axis=1)
+        for row in keys[np.all(np.diff(keys, axis=1) != 0, axis=1)]:
+            # kept only once the check confirms the connected tag
+            g = RegularGraph(n=n, d=d, edges=tuple(zip((row // n).tolist(), (row % n).tolist())),
+                             connected=True)
+            if _is_connected(g):
+                return g
     raise ResampleBudgetExceeded(
         f"no simple connected sample in {RESAMPLE_BUDGET} attempts"
     )
@@ -110,18 +136,38 @@ def bfs_distances(g: RegularGraph, source: int) -> np.ndarray:
     return np.where(np.isinf(dist), unreachable, dist).astype(np.uint16)
 
 
+def _spread_threshold(n: int, d: int) -> int:
+    """floor(log_d(n/2)) in integers: the largest t >= 0 with 2 d^t <= n.  (The
+    float quotient of logs misfloors at exact powers, such as n = 2 * 3^5.)"""
+    if d < 2:
+        raise ValidationError("the distance spread needs d >= 2")
+    t = 0
+    while 2 * d ** (t + 1) <= n:
+        t += 1
+    return t
+
+
 def distance_spread_check(g: RegularGraph) -> dict:
     """From every vertex, at least n/2 vertices should sit at graph distance
-    at least floor(log_d(n/2)); reports the worst count over sources."""
-    from scipy.sparse.csgraph import shortest_path
+    at least floor(log_d(n/2)); reports the worst count over sources.
 
+    A source's count is n less the vertices within threshold - 1 hops: the
+    nonzero entries of its column of (I + A)^(threshold - 1), taken by sparse
+    products over column blocks of SPREAD_BLOCK entries."""
     check_spectral_size(g.n)
-    # every hop count is finite exactly when the graph is connected
-    dist = shortest_path(g.adjacency(), unweighted=True)
-    if not g.connected or np.isinf(dist).any():
+    threshold = _spread_threshold(g.n, g.d)
+    if not g.connected or not _is_connected(g):
         raise Disconnected("distance spread is defined for connected graphs")
-    threshold = math.floor(math.log(g.n / 2.0) / math.log(g.d))
-    min_count = int(np.min(np.sum(dist >= threshold, axis=1)))
+    adj = g.adjacency()
+    within = 0  # the most vertices within threshold - 1 hops of one source
+    if threshold > 0:
+        width = max(1, SPREAD_BLOCK // g.n)
+        for lo in range(0, g.n, width):
+            walks = np.eye(g.n, min(width, g.n - lo), -lo)  # sources lo, lo + 1, ...
+            for _ in range(threshold - 1):
+                walks += adj @ walks
+            within = max(within, int(np.count_nonzero(walks, axis=0).max()))
+    min_count = g.n - within
     return {"threshold": threshold, "count": min_count,
             "holds": bool(min_count >= g.n / 2.0)}
 
@@ -174,32 +220,6 @@ def lp_gap_check(chain: StochasticChain, p: float, dim: int) -> dict:
 
 
 # --- I/O -------------------------------------------------------------------
-
-def graph_from_edge_text(text: str) -> RegularGraph:
-    """One 'u v' pair per line, 0-indexed; the graph must be simple (no
-    self-loops or repeated edges) and regular."""
-    edges = []
-    for line in text.strip().splitlines():
-        if not line.strip():
-            continue
-        u, v = (int(tok) for tok in line.split())
-        if u == v:
-            raise ValidationError(f"self-loop at vertex {u}")
-        edges.append((min(u, v), max(u, v)))
-    if not edges:
-        raise ValidationError("empty edge list")
-    if len(set(edges)) != len(edges):
-        raise ValidationError("repeated edge")
-    n = max(max(e) for e in edges) + 1
-    deg = np.zeros(n, dtype=int)
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    if np.unique(deg).size != 1:
-        raise ValidationError("graph is not regular")
-    g = RegularGraph(n=n, d=int(deg[0]), edges=tuple(sorted(edges)), connected=False)
-    return RegularGraph(n=n, d=int(deg[0]), edges=g.edges, connected=_is_connected(g))
-
 
 def graph_to_json(g: RegularGraph) -> dict:
     return {"n": g.n, "d": g.d, "edges": [list(e) for e in g.edges],

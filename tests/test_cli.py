@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import json
 import math
 import os
@@ -502,8 +504,9 @@ def _provenances(node):
     return []
 
 
-def test_every_subcommand_reports_documented_provenance(
-        tmp_path, flip_chain_file, lazy_cycle_file, hilbert_space_file):
+def _every_subcommand(tmp_path, flip_chain_file, lazy_cycle_file, hilbert_space_file):
+    """(output file, argv) runs covering every subcommand; verify-duality reads
+    the embed output, so the runs go in this order."""
     def write(name, obj):
         path = tmp_path / name
         path.write_text(json.dumps(obj))
@@ -516,7 +519,6 @@ def test_every_subcommand_reports_documented_provenance(
     g = write("g.json", {"weights": [0.5, 0.5], "values": [[0.5, 1.0], [1.0, 0.0]]})
     metric = write("metric.json", [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1],
                                    [1, 2, 1, 0]])
-    # (output file, argv); verify-duality reads the embed output
     runs = [
         ("gap-exact.json", ["gap", "--chain", lazy_cycle_file,
                             "--space", hilbert_space_file]),
@@ -546,6 +548,12 @@ def test_every_subcommand_reports_documented_provenance(
         ("suite.json", ["suite"]),
     ]
     assert {argv[0] for _, argv in runs} == set(cli.SUBCOMMANDS)
+    return runs
+
+
+def test_every_subcommand_reports_documented_provenance(
+        tmp_path, flip_chain_file, lazy_cycle_file, hilbert_space_file):
+    runs = _every_subcommand(tmp_path, flip_chain_file, lazy_cycle_file, hilbert_space_file)
     tags = {}
     for name, argv in runs:
         code, out = run_to_file(tmp_path, argv, name=name)
@@ -555,6 +563,104 @@ def test_every_subcommand_reports_documented_provenance(
     # a heuristic p-gap next to the exact Euclidean q-gap is reported heuristic
     assert tags["extrapolate-mixed.json"] == ["heuristic"]
     assert tags["extrapolate-finite.json"] == ["brute_force"]
+
+
+def _jsonable(value):
+    """Report values as plain JSON values: the conversion the one-pass writer
+    replaced, kept as its reference."""
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return _jsonable(value.tolist())
+    if isinstance(value, (np.integer,)):
+        return int(value)
+    if isinstance(value, (np.floating, float)):
+        value = float(value)
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        if math.isnan(value):
+            return "nan"
+        return value
+    if isinstance(value, (np.bool_,)):
+        return bool(value)
+    return value
+
+
+def _reference_json(report, config):
+    config = _jsonable(config)
+    payload = {
+        "command": config["command"],
+        "version": nsgap.__version__,
+        "seed": config["seed"],
+        "config": config,
+        "config_hash": hashlib.sha256(
+            json.dumps(config, sort_keys=True).encode()).hexdigest(),
+        "report": _jsonable(report),
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _reference_csv(report):
+    lines = ["key,value"]
+
+    def walk(prefix, node):
+        if isinstance(node, dict):
+            for k in sorted(node):
+                walk(f"{prefix}{k}.", node[k])
+        elif isinstance(node, list):
+            for i, v in enumerate(node):
+                walk(f"{prefix}{i}.", v)
+        else:
+            lines.append(f"{prefix[:-1]},{node}")
+
+    walk("", _jsonable(report))
+    return "\n".join(lines) + "\n"
+
+
+def test_writer_matches_json_dumps_on_every_subcommand(
+        tmp_path, monkeypatch, flip_chain_file, lazy_cycle_file, hilbert_space_file):
+    emitted = []
+    emit = cli._emit
+
+    def record(report, config, args):
+        emitted.append((report, config, args.output))
+        emit(report, config, args)
+
+    monkeypatch.setattr(cli, "_emit", record)
+    runs = _every_subcommand(tmp_path, flip_chain_file, lazy_cycle_file, hilbert_space_file)
+    for name, argv in runs:
+        assert run_to_file(tmp_path, argv, name=name)[0] == 0, argv
+    assert len(emitted) == len(runs)
+    for (report, config, output), (_, argv) in zip(emitted, runs):
+        with open(output, "rb") as fh:
+            assert fh.read() == _reference_json(report, config).encode(), argv
+        csv = tmp_path / "out.csv"
+        emit(report, config, argparse.Namespace(format="csv", output=str(csv)))
+        assert csv.read_text(encoding="utf-8") == _reference_csv(report), argv
+
+
+def test_writer_matches_json_dumps_on_edge_values():
+    value = {
+        "nan": float("nan"), "inf": [float("inf"), -float("inf"), np.float64(np.nan)],
+        "numpy": [np.float32(0.1), np.float64(-0.0), np.int64(-3), np.uint8(7),
+                  np.bool_(True), np.bool_(False), True, None, 10**30, 1e-310, 1e300],
+        "empty": [[], {}, (), [[]], [{}], ""],
+        "tuples": (1, 2.5, (3, "x"), ()),
+        "text": "ünïcode ✓ \u2028 \"q\" \\ \t\x00",
+        1: "int key", "1": "str key after it", 2.5: "float key", None: "none key",
+        (0, 1): "tuple key",
+        "arrays": [np.arange(6).reshape(2, 3), np.array([0.1, np.inf, np.nan]),
+                   np.array([True, False]), np.zeros((0, 2)), np.float64(2.0)],
+        "nested": {"b": {"a": [1, 2.0, [3, {"z": -1}]]}, "a": []},
+    }
+    assert cli._json(value) == json.dumps(_jsonable(value), sort_keys=True, indent=2)
+    assert cli._json(value, None) == json.dumps(_jsonable(value), sort_keys=True)
+    for scalar in (0, -1, 0.5, float("inf"), "s", None, False, np.int32(4)):
+        assert cli._json(scalar) == json.dumps(_jsonable(scalar))
+    with pytest.raises(TypeError):
+        cli._json({"x": [object()]})
 
 
 # 3-state chain whose gap over l_2 with theta = 1/2 and p = 2 is the cut value

@@ -10,6 +10,7 @@ from nsgap.errors import (
     Disconnected,
     NotReversibleChain,
     ParityViolation,
+    ResampleBudgetExceeded,
     UnsupportedSpace,
     ValidationError,
 )
@@ -254,32 +255,6 @@ def test_cubic_graphs_concentrate_below_095():
         assert hits >= 95, f"n={n}: only {hits}/100 seeds had lambda_2 <= 0.95"
 
 
-def test_graph_edge_text_roundtrip():
-    g = complete_graph_four()
-    text = "\n".join(f"{u} {v}" for u, v in g.edges)
-    again = expander.graph_from_edge_text(text)
-    assert again.edges == g.edges
-    assert again.d == 3 and again.connected
-
-
-def test_graph_edge_text_rejects_irregular():
-    with pytest.raises(ValidationError):
-        expander.graph_from_edge_text("0 1\n1 2")
-
-
-def test_graph_edge_text_rejects_self_loops():
-    # without the check this parses as a "3-regular" graph on 2 vertices
-    with pytest.raises(ValidationError, match="self-loop"):
-        expander.graph_from_edge_text("0 0\n1 1\n0 1")
-
-
-def test_graph_edge_text_rejects_repeated_edges():
-    # a doubled edge, in either orientation, would read as a 2-regular graph
-    for text in ("0 1\n0 1", "0 1\n1 0"):
-        with pytest.raises(ValidationError, match="repeated edge"):
-            expander.graph_from_edge_text(text)
-
-
 def test_graph_json():
     g = four_cycle_graph()
     out = expander.graph_to_json(g)
@@ -293,3 +268,195 @@ def test_lp_gap_check_rejects_nonreversible():
                                    reversible=False)
     with pytest.raises(NotReversibleChain):
         expander.lp_gap_check(chain, 2.0, dim=3)
+
+
+# --- batched sampler against the sequential one ------------------------------
+
+def _upper_adjacency(n, edges):
+    """One triangle of the adjacency, built apart from RegularGraph's."""
+    from scipy.sparse import csr_matrix
+
+    u, v = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    return csr_matrix((np.ones(u.size), (u, v)), shape=(n, n))
+
+
+def _connected(n, edges):
+    from scipy.sparse.csgraph import connected_components
+
+    return connected_components(_upper_adjacency(n, edges), directed=False,
+                                return_labels=False) == 1
+
+
+def _reference_sampler(n, d, seed):
+    """The sequential sampler: one rng.permutation per attempt.  Returns the
+    edge tuple, or raises ResampleBudgetExceeded."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, n, d]))
+    stubs = np.repeat(np.arange(n), d)
+    for _ in range(expander.RESAMPLE_BUDGET):
+        pairs = rng.permutation(stubs).reshape(-1, 2)
+        us, vs = pairs[:, 0], pairs[:, 1]
+        if np.any(us == vs):
+            continue
+        lo = np.minimum(us, vs)
+        hi = np.maximum(us, vs)
+        keys = lo.astype(np.int64) * n + hi
+        if np.unique(keys).size != keys.size:
+            continue
+        edges = tuple(sorted(zip(lo.tolist(), hi.tolist())))
+        if _connected(n, edges):
+            return edges
+    raise ResampleBudgetExceeded("budget")
+
+
+def _outcome(sample, n, d, seed):
+    try:
+        out = sample(n, d, seed)
+    except ResampleBudgetExceeded:
+        return "budget"
+    return out if isinstance(out, tuple) else out.edges
+
+
+SAMPLER_CASES = (
+    [(n, 3, seed) for n in (4, 6, 8, 10, 16, 32, 64, 128) for seed in range(70)]
+    + [(n, 4, seed) for n in (5, 6, 9, 16, 32, 64) for seed in range(55)]
+    + [(n, 5, seed) for n in (8, 12, 16) for seed in range(20)]
+    + [(n, 6, seed) for n in (7, 9, 16) for seed in range(12)]
+    + [(n, 7, seed) for n in (10, 16) for seed in range(12)]
+    # near-complete: K_8 never comes out within the budget, K_6 sometimes does
+    + [(8, 7, seed) for seed in range(10)] + [(6, 5, seed) for seed in range(20)]
+    # one stub array above DRAW_BATCH_CAP, so each batch is a single shuffle
+    + [(21_846, 3, seed) for seed in range(2)]
+)
+
+
+def test_batched_sampler_matches_sequential_reference():
+    assert len(SAMPLER_CASES) >= 1000
+    assert 21_846 * 3 > expander.DRAW_BATCH_CAP
+    outcomes = set()
+    for n, d, seed in SAMPLER_CASES:
+        want = _outcome(_reference_sampler, n, d, seed)
+        assert _outcome(expander.random_regular_graph, n, d, seed) == want, (n, d, seed)
+        outcomes.add((n, d, want == "budget"))
+    # both outcomes occur, at d = 5 and on K_6
+    assert {(8, 7, True), (6, 5, True), (6, 5, False), (16, 5, True),
+            (16, 5, False), (128, 3, False), (21_846, 3, False)} <= outcomes
+
+
+class _RecordingRng:
+    """A Generator that records the shape of every batch it shuffles."""
+
+    def __init__(self, rng, shapes):
+        self.rng, self.shapes = rng, shapes
+
+    def permuted(self, x, axis):
+        self.shapes.append(x.shape)
+        return self.rng.permuted(x, axis=axis)
+
+
+def test_draw_batches_stay_within_cap_and_budget(monkeypatch):
+    shapes = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: _RecordingRng(default_rng(seed), shapes))
+    with pytest.raises(ResampleBudgetExceeded):
+        expander.random_regular_graph(8, 7, seed=0)
+    assert sum(k for k, _ in shapes) == expander.RESAMPLE_BUDGET
+    assert [k for k, _ in shapes[:3]] == [8, 16, 32]
+    for n, d in ((2_000, 4), (21_846, 3)):
+        shapes.clear()
+        expander.random_regular_graph(n, d, seed=1)
+        assert max(k * m for k, m in shapes) <= max(expander.DRAW_BATCH_CAP, n * d)
+    assert {k for k, _ in shapes} == {1}
+
+
+# --- ball-count spread check against all-pairs distances ---------------------
+
+def _reference_spread(g, threshold):
+    """Fewest vertices at distance >= threshold from one source, by all-pairs
+    shortest paths."""
+    from scipy.sparse.csgraph import shortest_path
+
+    dist = shortest_path(_upper_adjacency(g.n, g.edges), directed=False, unweighted=True)
+    return int(np.min(np.sum(dist >= threshold, axis=1)))
+
+
+def test_spread_threshold_is_the_integer_floor():
+    for n in range(1, 4097):
+        for d in range(2, 40):
+            t = expander._spread_threshold(n, d)
+            assert t == 0 or 2 * d ** t <= n
+            assert 2 * d ** (t + 1) > n
+    misfloored = {(n, d) for n in range(2, 4097) for d in range(3, 40)
+                  if expander._spread_threshold(n, d)
+                  != math.floor(math.log(n / 2.0) / math.log(d))}
+    assert misfloored == {(486, 3), (2000, 10)}
+
+
+def test_ball_count_matches_all_pairs_reference():
+    # thresholds 0 (n < 2d) through 4 (2 d^4 <= n)
+    sizes = ((4, 3), (6, 4), (8, 3), (16, 3), (32, 3), (30, 4), (64, 3),
+             (128, 3), (128, 4), (200, 3), (256, 3), (600, 4))
+    seen = set()
+    for n, d in sizes:
+        for seed in range(4):
+            g = expander.random_regular_graph(n, d, seed)
+            rep = expander.distance_spread_check(g)
+            seen.add(rep["threshold"])
+            assert rep["count"] == _reference_spread(g, rep["threshold"]), (n, d, seed)
+            assert rep["holds"] == (rep["count"] >= n / 2.0)
+    assert seen == {0, 1, 2, 3, 4}
+
+
+def test_spread_threshold_at_exact_powers():
+    """2 * 3^5 = 486 and 2 * 10^3 = 2000 give thresholds 5 and 3; the float
+    quotient of logs gave 4 and 2."""
+    g = expander.random_regular_graph(486, 3, seed=0)
+    rep = expander.distance_spread_check(g)
+    assert rep["threshold"] == 5
+    assert rep["count"] == _reference_spread(g, 5)
+    # circulant: i ~ i +- 1..5 (mod 2000), so 21 vertices lie within 2 hops
+    n = 2000
+    edges = tuple(sorted({(min(i, (i + s) % n), max(i, (i + s) % n))
+                          for i in range(n) for s in range(1, 6)}))
+    circulant = expander.RegularGraph(n=n, d=10, edges=edges, connected=True)
+    rep = expander.distance_spread_check(circulant)
+    assert rep == {"threshold": 3, "count": n - 21, "holds": True}
+    assert rep["count"] == _reference_spread(circulant, 3)
+
+
+def test_spread_rechecks_connectivity():
+    """A graph tagged connected on a disconnected edge list is refused."""
+    g = expander.RegularGraph(n=6, d=2, edges=two_triangles().edges, connected=True)
+    with pytest.raises(Disconnected):
+        expander.distance_spread_check(g)
+
+
+def test_spread_rejects_degree_below_two():
+    g = expander.RegularGraph(n=2, d=1, edges=((0, 1),), connected=True)
+    with pytest.raises(ValidationError):
+        expander.distance_spread_check(g)
+
+
+def test_spread_check_memory_at_the_cap():
+    """At n = 4096 the column blocks keep the traced peak far below one
+    n x n float64 distance matrix (134 MB)."""
+    g = expander.random_regular_graph(4096, 3, seed=0)
+    g.adjacency()
+    tracemalloc.start()
+    try:
+        rep = expander.distance_spread_check(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["threshold"] == 6 and rep["holds"]
+    assert peak < 16 << 20
+
+
+def test_adjacency_is_cached_and_read_only():
+    g = expander.random_regular_graph(16, 3, seed=2)
+    adj = g.adjacency()
+    assert g.adjacency() is adj
+    for arr in (adj.data, adj.indices, adj.indptr):
+        with pytest.raises(ValueError):
+            arr[0] = 7
+    np.testing.assert_array_equal(expander.graph_chain(g).A, adj.toarray() / 3.0)
