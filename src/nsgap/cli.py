@@ -29,6 +29,10 @@ from . import __version__, embed, expander, john, markov, mazur, rayleigh, suite
 from .errors import DimensionMismatch, EmptyFamily, NumericalError, ValidationError
 from .spaces import Configuration, MetricSpace, space_from_json
 
+# calibration family members: each costs up to about 15 ms of CPU (C_pq) and
+# adds one ratio to the report, so the cap bounds a run near 15 s
+FAMILY_CAP = 1000
+
 
 def _read(path: str, parse, decode=json.loads):
     """parse(decode(text)) of the input file at path.  Failing to open, decode
@@ -351,6 +355,8 @@ def _cmd_bounds(args) -> dict:
 def _cmd_calibrate(args) -> dict:
     if args.family_size < 1:
         raise EmptyFamily("the calibration family must be nonempty")
+    if args.family_size > FAMILY_CAP:
+        raise ValidationError(f"calibration family size capped at {FAMILY_CAP}")
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     ratios = []
     if args.constant == "C_thm4":

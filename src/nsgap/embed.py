@@ -313,31 +313,6 @@ def average_embed_hilbert(dist, mu, theta: float) -> GramEmbedding:
                          dual_bound=dual_bound, dual_weights=weights)
 
 
-def evaluate_average_distortion(points, dist, mu, q: float, theta: float) -> dict:
-    """lip = worst pairwise expansion against d^theta; spread = mu-average of
-    q-powered embedded distances over the q-powered snowflaked distances;
-    D = lip / spread^{1/q}."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    dist = _validate_finite_metric(dist, positive=True)
-    n = dist.shape[0]
-    if points.shape[0] != n:
-        raise SizeMismatch("one embedded point per metric point is required")
-    mu = _check_weights(mu, n)
-    if q < 1.0:
-        raise UnsupportedSpace("average distortion requires q >= 1")
-    _check_theta(theta)
-    emb = pair_norms(MetricSpace.lp(2.0, points.shape[1]),
-                     points[:, None, :] - points[None, :, :])[0]
-    off = ~np.eye(n, dtype=bool)
-    snow = dist**theta
-    lip = float(np.max(emb[off] / snow[off]))
-    weight = np.outer(mu, mu)
-    denom = float(np.sum(weight * snow**q))
-    spread = float(np.sum(weight * emb**q)) / denom
-    d_val = float("inf") if spread <= 0 else lip / spread ** (1.0 / q)
-    return {"lip": lip, "spread": spread, "D": d_val}
-
-
 def duality_forward_check(D: float, chain: StochasticChain, dist, theta: float) -> dict:
     """Witness-level forward duality at the Hilbert exponent 2: with D the
     achieved quadratic average distortion of an embedding

@@ -67,10 +67,6 @@ class MismatchedStationary(ValidationError):
     pass
 
 
-class NormSandwichViolated(ValidationError):
-    pass
-
-
 class DegenerateGap(ValidationError):
     pass
 

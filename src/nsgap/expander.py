@@ -17,15 +17,12 @@ import numpy as np
 
 from .errors import (
     Disconnected,
-    NotReversibleChain,
     ParityViolation,
     ResampleBudgetExceeded,
     UnsupportedSpace,
     ValidationError,
 )
-from .markov import SPECTRAL_N_CAP, StochasticChain, build_reversible_chain, spectral_data
-from .rayleigh import estimate_gap
-from .spaces import MetricSpace
+from .markov import SPECTRAL_N_CAP, StochasticChain, build_reversible_chain
 
 RESAMPLE_BUDGET = 1000
 # stub entries one batch of candidate shuffles may hold
@@ -198,25 +195,6 @@ def coarse_obstruction(gamma: float, Omega1: float, p: float) -> float:
     if gamma <= 0 or Omega1 < 0 or p <= 0:
         raise ValidationError("arguments must be positive")
     return float((2.0 * gamma) ** (1.0 / p) * Omega1)
-
-
-def lp_gap_check(chain: StochasticChain, p: float, dim: int) -> dict:
-    """Compare the heuristic gap over squared l_p distances (8 restarts of
-    200 iterations, seed 0) with the analytic form p^2/(1 - lambda_2)
-    (implicit constant 1, logged via the ratio)."""
-    if not chain.reversible:
-        raise NotReversibleChain("the comparison requires a reversible chain")
-    if p < 2.0:
-        raise ValidationError("the comparison is stated for p >= 2")
-    data = spectral_data(chain)
-    if data.lambda2 >= 1.0 - 1e-12:
-        return {"heuristic_gamma": float("inf"), "bound": float("inf"),
-                "ratio": None, "vacuous": True}
-    bound = p * p / (1.0 - data.lambda2)
-    est = estimate_gap(chain, MetricSpace.lp(p, dim), 2.0, restarts=8, iters=200, seed=0)
-    ratio = None if math.isinf(est.value) else est.value / bound
-    return {"heuristic_gamma": est.value, "bound": bound, "ratio": ratio,
-            "vacuous": False}
 
 
 # --- I/O -------------------------------------------------------------------

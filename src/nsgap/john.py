@@ -19,6 +19,7 @@ from .spaces import POLYTOPE_DIM_CAP, EllipsoidNorm, MetricSpace, pair_norms
 MVEE_CAP = 100_000
 MVEE_TOL = 1e-7
 MVEE_REFRESH = 100  # steps between exact recomputations of M^{-1} and the levels
+LP_DIM_CAP = 64  # the sampled l_p ball in 64 dimensions takes about 16 s of CPU
 
 
 def hypercube_vertices(d: int) -> np.ndarray:
@@ -120,11 +121,14 @@ def hilbert_distance(space: MetricSpace) -> dict:
     directions otherwise (max(1000, 50 d) at seed 0 span the ball, 1000 at
     seed 1 estimate D_X; the sampling slack is reported).  For polytopal
     balls in dimension d, D_X <= sqrt(d).  Where the MVEE ran, its solver
-    record (`iterations`, `stop`, `residual`) is reported too.
+    record (`iterations`, `stop`, `residual`) is reported too.  An l_p space
+    of more than LP_DIM_CAP dimensions is refused before anything is built.
     """
     if not space.is_normed:
         raise UnsupportedSpace("the Hilbertian sandwich requires a normed space")
     d = space.dim
+    if space.kind == "lp_norm" and d > LP_DIM_CAP:
+        raise DimensionMismatch(f"l_p sandwiches capped at d = {LP_DIM_CAP}")
     approximate = False
     if space.kind == "ellipsoid_norm":
         return {"D_X": 1.0, "H": space.ellipsoid, "approximate": False}

@@ -9,8 +9,8 @@ and the nonlinear spectral gap gamma(A, d^p) is the supremum of 1/R over
 nonconstant configurations.  The module provides an exact value for Hilbert
 targets, exhaustive enumeration for small finite metrics, a multi-start
 projected (sub)gradient heuristic for normed targets, plus the calculus
-identities, the pointwise comparison estimate, the absolute-gap variant and
-the Markov type ratio used to cross-check all of them.
+identities, the absolute-gap variant and the analytic upper bound used to
+cross-check them.
 """
 
 from __future__ import annotations
@@ -29,19 +29,12 @@ from .errors import (
     InstanceTooLarge,
     LengthMismatch,
     MismatchedStationary,
-    NormSandwichViolated,
     NotReversibleChain,
     UnsupportedSpace,
     ValidationError,
 )
 from .markov import StochasticChain, lazy_power, spectral_data
-from .spaces import (
-    Configuration,
-    EllipsoidNorm,
-    MetricSpace,
-    config_distance_matrix,
-    pair_norms,
-)
+from .spaces import Configuration, MetricSpace, config_distance_matrix
 
 P_MIN, P_MAX = 1.0, 8.0
 ENUM_CAP = 10_000_000
@@ -49,6 +42,8 @@ ENUM_CAP = 10_000_000
 # arrays and, over a polytope with F facets, n x n x F facet scores: the
 # default 32 x 500 run over lp(3, 4) at the cap takes about a minute of CPU
 HEURISTIC_CAP = 800_000
+# n^2 max(d, F) restarts iters bound of a whole run: the default run at the cap
+HEURISTIC_WORK_CAP = HEURISTIC_CAP * 32 * 500
 # pair entries n^2 max(d, F) of one stack of heuristic restarts stepped
 # together: below it a step costs mostly numpy dispatch, not arithmetic
 HEURISTIC_BATCH = 4096
@@ -276,72 +271,6 @@ def rayleigh_calculus_check(x: Configuration, chainA: StochasticChain,
     }
 
 
-def markov_type_ratio(chain: StochasticChain, x: Configuration, t: int,
-                      p: float = 2.0) -> dict:
-    """ratio = R(x; A^t, sq. dist.) / (t R(x; A, sq. dist.)); for Hilbert
-    configurations with p = 2 the ratio never exceeds 1 (Markov type 2 with
-    constant 1)."""
-    if not isinstance(t, (int, np.integer)) or t < 1:
-        raise BadExponentRange("power t must be a positive integer")
-    _check_p(p)
-    space = x.space
-    if not _is_hilbertian(space):
-        raise UnsupportedSpace("Markov type ratio is asserted for Hilbert configurations")
-    powered = config_distance_matrix(x) ** p
-    r1 = _quotient(chain.A, chain.pi, powered)
-    rt = _quotient(np.linalg.matrix_power(chain.A, int(t)), chain.pi, powered)
-    if r1 <= ZERO_QUOTIENT:
-        ratio = 1.0 if rt <= ZERO_QUOTIENT else float("inf")
-    else:
-        ratio = rt / (float(t) * r1)
-    return {"ratio": ratio, "bound_holds": bool(p == 2.0 and ratio <= 1.0 + 1e-9)}
-
-
-def pointwise_estimate_check(x: Configuration, chainB: StochasticChain,
-                             spaceX: MetricSpace, H: EllipsoidNorm,
-                             D: float, eta: float,
-                             sandwich_trials: int = 1000) -> dict:
-    """If R(x; B^2, squared H-norm) >= 1 - eta^2 then
-    R(x; B, squared X-norm) >= (1 - eta D)^2 / 4, provided the norms satisfy
-    ||y||_H <= ||y||_X <= D ||y||_H.  The sandwich is spot-checked by sampling
-    before the implication is evaluated."""
-    if D < 1.0:
-        raise BadExponentRange("comparison factor D must be >= 1")
-    if not (0.0 < eta < 1.0 / D):
-        raise BadExponentRange("eta must lie in (0, 1/D)")
-    if not spaceX.is_normed:
-        raise UnsupportedSpace("the comparison requires a normed space")
-    if not chainB.reversible:
-        raise NotReversibleChain("the pointwise estimate requires a reversible chain")
-    hilbert = MetricSpace.ellipsoid_space(H)
-    rng = np.random.default_rng(np.random.SeedSequence(0))
-    dirs = rng.standard_normal((sandwich_trials, spaceX.dim))
-    nh = pair_norms(hilbert, dirs)[0]
-    nx = pair_norms(spaceX, dirs)[0]
-    broken = (nh > nx * (1.0 + 1e-9) + 1e-12) | (nx > D * nh * (1.0 + 1e-9) + 1e-12)
-    if np.any(broken):
-        k = int(np.argmax(broken))
-        raise NormSandwichViolated(
-            f"sampled direction breaks the sandwich: H={nh[k]:.6g}, X={nx[k]:.6g}, D={D}"
-        )
-    pts = np.asarray(x.points, dtype=float)
-    sq_h = config_distance_matrix(Configuration(hilbert, pts)) ** 2
-    b2 = chainB.A @ chainB.A
-    r_h = _quotient(b2, chainB.pi, sq_h)
-    premise = r_h >= 1.0 - eta**2 - 1e-12
-    sq_x = config_distance_matrix(Configuration(spaceX, pts)) ** 2
-    r_x = _quotient(chainB.A, chainB.pi, sq_x)
-    bound = (1.0 - eta * D) ** 2 / 4.0
-    if not premise:
-        status = "vacuous"
-    elif r_x >= bound - 1e-12:
-        status = "holds"
-    else:
-        status = "fails"
-    return {"premise": bool(premise), "premise_value": r_h,
-            "conclusion_value": r_x, "bound": bound, "vacuous_or_holds": status}
-
-
 # --- heuristic maximizer over normed targets ---------------------------------
 
 def gamma_heuristic(chain: StochasticChain, space: MetricSpace, p: float,
@@ -367,6 +296,10 @@ def gamma_heuristic(chain: StochasticChain, space: MetricSpace, p: float,
     if n * n * width > HEURISTIC_CAP:
         raise InstanceTooLarge(f"heuristic size n^2 max(d, F) = {n * n * width} "
                                f"exceeds {HEURISTIC_CAP}")
+    work = n * n * width * restarts * iters
+    if work > HEURISTIC_WORK_CAP:
+        raise InstanceTooLarge(f"heuristic work n^2 max(d, F) restarts iters = {work} "
+                               f"exceeds {HEURISTIC_WORK_CAP}")
     data = spectral_data(chain)
     evaluate = ascent.evaluator(chain, space, space.theta * p)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -428,19 +361,6 @@ def estimate_gap(chain: StochasticChain, space: MetricSpace, p: float,
 
 
 # --- analytic bound pipeline -------------------------------------------------
-
-def tstar(lambda2: float, D_X: float) -> int:
-    """ceil(log(2 D_X) / log(2/(1 + lambda2))); the power of the lazy walk
-    needed to shrink the mean-zero norm below 1/(2 D_X)."""
-    if D_X < 1.0:
-        raise BadExponentRange("D_X must be >= 1")
-    if lambda2 >= 1.0 - 1e-12:
-        raise DegenerateGap("lambda_2 too close to 1")
-    if lambda2 <= -1.0 + 1e-300:
-        return 1  # denominator log diverges, the ratio vanishes
-    ratio = math.log(2.0 * D_X) / math.log(2.0 / (1.0 + lambda2))
-    return max(1, math.ceil(ratio - 1e-12))
-
 
 def theorem4_upper_bound(chain: StochasticChain, D_X: float, C: float) -> float:
     """C log(D_X + 1) / (1 - lambda_2): the analytic upper bound on the gap

@@ -267,17 +267,6 @@ class Configuration:
         return self.points.shape[0]
 
 
-def distance(space: MetricSpace, a, b) -> float:
-    """Snowflaked distance between two points of the space."""
-    if space.kind == "finite":
-        return float(space.dist[int(a), int(b)]) ** space.theta
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise DimensionMismatch("points have different dimensions")
-    return space.gauge(a - b) ** space.theta
-
-
 def config_distance_matrix(x: Configuration) -> np.ndarray:
     """Pairwise snowflaked distances of a configuration."""
     space = x.space
@@ -286,55 +275,6 @@ def config_distance_matrix(x: Configuration) -> np.ndarray:
     else:
         base = pair_norms(space, x.points[:, None, :] - x.points[None, :, :])[0]
     return base ** space.theta
-
-
-def product_distance(pi, space: MetricSpace, p: float, x: Configuration, y: Configuration) -> float:
-    """(sum_i pi_i d(x_i, y_i)^p)^{1/p}, the L_p(pi; M) metric."""
-    pi = np.asarray(pi, dtype=float)
-    if x.n != pi.size or y.n != pi.size:
-        raise LengthMismatch("configurations must match the stationary vector length")
-    if not np.isfinite(p) or p < 1.0:
-        raise BadExponentRange("product metric requires finite p >= 1")
-    if space.kind == "finite":
-        base = space.dist[x.points, y.points]
-    else:
-        base = pair_norms(space, x.points - y.points)[0]
-    return float(np.sum(pi * (base ** space.theta) ** p) ** (1.0 / p))
-
-
-def modulus_check(space: MetricSpace, mode: str, exponent: float, constant: float,
-                  trials: int = 1000) -> dict:
-    """Sample random pairs and test the two-point smoothness/convexity
-    inequality with the asserted constant.
-
-    mode = "smooth":  (||x||^p + ||y||^p)/2 <= ||(x+y)/2||^p + S^p ||(x-y)/2||^p
-    mode = "convex":  ||(x+y)/2||^q + (1/K^q) ||(x-y)/2||^q <= (||x||^q + ||y||^q)/2
-    """
-    if not space.is_normed:
-        raise UnsupportedSpace("modulus checks require a normed space")
-    if mode == "smooth":
-        if not (1.0 <= exponent <= 2.0):
-            raise BadExponentRange("smoothness exponent must be in [1, 2]")
-    elif mode == "convex":
-        if exponent < 2.0:
-            raise BadExponentRange("convexity exponent must be in [2, inf)")
-    else:
-        raise BadExponentRange(f"unknown mode {mode!r}")
-    rng = np.random.default_rng(np.random.SeedSequence(0))
-    # one draw of shape (trials, 2, d) is the stream of per-trial x, y draws
-    x, y = np.moveaxis(rng.standard_normal((trials, 2, space.dim)), 1, 0)
-    nx, ny, mid, half = pair_norms(space, np.stack([x, y, (x + y) / 2.0, (x - y) / 2.0]))[0]
-    e = exponent
-    if mode == "smooth":
-        lhs = (nx**e + ny**e) / 2.0
-        rhs = mid**e + constant**e * half**e
-    else:
-        lhs = mid**e + half**e / constant**e
-        rhs = (nx**e + ny**e) / 2.0
-    positive = rhs > 0
-    worst = float(np.max(lhs[positive] / rhs[positive], initial=0.0))
-    violations = int(np.sum(lhs > rhs * (1.0 + 1e-9) + 1e-12))
-    return {"violations": violations, "worst_ratio": worst}
 
 
 # --- I/O -------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 
 import nsgap
 from nsgap import cli, markov, rayleigh
-from nsgap.spaces import MetricSpace, space_to_json
+from nsgap.spaces import EllipsoidNorm, MetricSpace, space_from_json, space_to_json
 
 
 @pytest.fixture
@@ -765,3 +766,111 @@ def test_heuristic_over_a_polytope_counts_its_facets(tmp_path, capsys):
     assert code == 2
     assert not out.exists()
     assert "exceeds" in capsys.readouterr().err
+
+
+def _invalid_input_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("invalid input: ")
+    return err
+
+
+def test_heuristic_work_above_the_cap_exit_2(tmp_path, capsys, monkeypatch):
+    """A tiny instance passes the size cap, but 10^9 restarts of lp(3, 2) on
+    three states would take over a day of CPU: the work cap refuses the run
+    before the eigensolve."""
+    def eigensolve(chain):
+        raise AssertionError("the eigensolve ran")
+
+    monkeypatch.setattr(rayleigh, "spectral_data", eigensolve)
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps(markov.chain_to_json(
+        markov.random_reversible_chain(3, np.random.default_rng(0)))))
+    space = tmp_path / "l3.json"
+    space.write_text(json.dumps({"kind": "lp", "p": 3, "dim": 2}))
+    start = time.process_time()
+    code, out = run_to_file(tmp_path, ["gap", "--chain", str(chain), "--space", str(space),
+                                       "--restarts", "1000000000"])
+    assert time.process_time() - start < 2.0
+    assert code == 2
+    assert not out.exists()
+    assert "heuristic work" in _invalid_input_line(capsys)
+
+
+@pytest.mark.parametrize("constant", ["C_thm4", "c_q", "C_pq"])
+@pytest.mark.parametrize("size", [cli.FAMILY_CAP + 1, 10**9])
+def test_calibrate_family_above_the_cap_exit_2(tmp_path, capsys, monkeypatch,
+                                               constant, size):
+    """Each member costs up to 15 ms of CPU and one entry of `ratios`, so
+    the family size is capped before any member is sampled."""
+    def sample(*args, **kwargs):
+        raise AssertionError("a family member was sampled")
+
+    for owner, name in ((cli.markov, "random_reversible_chain"),
+                        (cli.markov, "build_reversible_chain"),
+                        (cli.expander, "random_regular_graph")):
+        monkeypatch.setattr(owner, name, sample)
+    start = time.process_time()
+    code, out = run_to_file(tmp_path, ["calibrate", "--constant", constant,
+                                       "--family-size", str(size)])
+    assert time.process_time() - start < 2.0
+    assert code == 2
+    assert not out.exists()
+    assert f"capped at {cli.FAMILY_CAP}" in _invalid_input_line(capsys)
+
+
+@pytest.mark.parametrize("p", [2, 3, "inf"])
+def test_john_above_the_lp_dimension_cap_exit_2(tmp_path, capsys, p):
+    """lp(3, 10^5) and lp(2, 10^5) asked numpy for 3.6 TiB and 74.5 GiB and
+    exited 1 with a traceback; every l_p dimension above the cap is refused
+    before anything of size d is allocated."""
+    space = tmp_path / "lp.json"
+    space.write_text(json.dumps({"kind": "lp", "p": p, "dim": 100_000}))
+    start = time.process_time()
+    code, out = run_to_file(tmp_path, ["john", "--space", str(space)])
+    assert time.process_time() - start < 2.0
+    assert code == 2
+    assert not out.exists()
+    assert "capped at d = 64" in _invalid_input_line(capsys)
+
+
+def _same_space(a: MetricSpace, b: MetricSpace) -> bool:
+    """Field-wise equality, arrays by value (the dataclass == compares the
+    arrays' truth values); the stored facets are compared too."""
+    def same(x, y):
+        if isinstance(x, EllipsoidNorm) or isinstance(y, EllipsoidNorm):
+            return type(x) is type(y) and np.array_equal(x.Q, y.Q)
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            return np.array_equal(x, y)
+        return x == y
+
+    return all(same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+
+
+@pytest.mark.parametrize("space", [
+    MetricSpace.finite([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]),
+    MetricSpace.finite([[0, 1.5], [1.5, 0]], theta=0.5),
+    MetricSpace.lp(2.0, 3),
+    MetricSpace.lp(1.0, 2),
+    MetricSpace.lp(3.5, 4, theta=0.25),
+    MetricSpace.lp(float("inf"), 4, theta=0.5),
+    MetricSpace.polytope([[1, 0], [0, 1], [0.6, 0.7]]),
+    MetricSpace.polytope(np.eye(3), theta=0.75),
+    MetricSpace.ellipsoid_space(EllipsoidNorm(np.array([[2.0, 0.3], [0.3, 1.0]]))),
+    MetricSpace.ellipsoid_space(EllipsoidNorm(np.diag([1.0, 0.1, 7.0])), theta=0.5),
+], ids=lambda s: f"{s.kind}-{s.theta}")
+def test_space_writer_round_trips_through_the_cli_reader(tmp_path, space):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(space_to_json(space)))
+    assert _same_space(cli._read(str(path), space_from_json), space)
+
+
+def test_chain_writer_round_trips_through_the_cli_reader(tmp_path):
+    rng = np.random.default_rng(4)
+    for chain in (markov.random_reversible_chain(5, rng),
+                  markov.lazy_power(markov.random_reversible_chain(3, rng), 2)):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(markov.chain_to_json(chain)))
+        again = cli._chain_from_arg(str(path))
+        assert (again.n, again.reversible) == (chain.n, chain.reversible)
+        np.testing.assert_array_equal(again.A, chain.A)
+        np.testing.assert_array_equal(again.pi, chain.pi)

@@ -12,7 +12,6 @@ from nsgap.errors import (
     DimensionMismatch,
     EmptyDecomposition,
     NotAMetric,
-    SizeMismatch,
     ZeroWeight,
 )
 from nsgap.spaces import FINITE_N_CAP
@@ -72,9 +71,17 @@ def test_embedding_feasible_and_certified():
     rebuilt = emb.factor @ emb.factor.T
     np.testing.assert_allclose(rebuilt, emb.G, atol=1e-9)
     assert emb.factor.shape[1] <= 4
-    ev = embed.evaluate_average_distortion(emb.factor, dist, np.full(4, 0.25), 2.0, 0.5)
-    assert ev["lip"] == pytest.approx(emb.lip_certificate, rel=1e-7)
-    assert ev["spread"] == pytest.approx(emb.spread_certificate, rel=1e-7)
+    # the certificates again from the factor alone: the worst expansion over
+    # the snowflaked distances, and the weighted mean of squared distances
+    diff = emb.factor[:, None, :] - emb.factor[None, :, :]
+    embedded = np.sqrt(np.sum(diff**2, axis=-1))
+    off = ~np.eye(4, dtype=bool)
+    snow = dist**0.5
+    weight = np.full((4, 4), 1.0 / 16.0)
+    lip = np.max(embedded[off] / snow[off])
+    spread = np.sum(weight * embedded**2) / np.sum(weight * snow**2)
+    assert lip == pytest.approx(emb.lip_certificate, rel=1e-7)
+    assert spread == pytest.approx(emb.spread_certificate, rel=1e-7)
 
 
 def test_input_guards():
@@ -253,38 +260,6 @@ def test_certificates_hold_without_convergence(monkeypatch):
         assert emb.lip_certificate <= 1.0 + 1e-12
         assert 0.0 < emb.d_lower <= emb.d_achieved
         assert emb.to_json()["gap"] > 1e-3
-
-
-def test_evaluate_identity_embedding():
-    rng = np.random.default_rng(0)
-    pts = rng.standard_normal((5, 3))
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.sum(diff**2, axis=2))
-    rep = embed.evaluate_average_distortion(pts, dist, np.full(5, 0.2), 2.0, 1.0)
-    assert rep["D"] == pytest.approx(1.0, abs=1e-9)
-
-
-def test_evaluate_scale_invariance():
-    rng = np.random.default_rng(1)
-    pts = rng.standard_normal((4, 2))
-    dist = four_cycle_path_metric()
-    mu = np.full(4, 0.25)
-    rep1 = embed.evaluate_average_distortion(pts, dist, mu, 2.0, 1.0)
-    rep2 = embed.evaluate_average_distortion(3.7 * pts, dist, mu, 2.0, 1.0)
-    assert rep1["D"] == pytest.approx(rep2["D"], rel=1e-12)
-
-
-def test_evaluate_collapse_reports_infinite():
-    pts = np.zeros((4, 2))
-    rep = embed.evaluate_average_distortion(pts, four_cycle_path_metric(),
-                                            np.full(4, 0.25), 2.0, 1.0)
-    assert rep["D"] == float("inf")
-
-
-def test_evaluate_size_mismatch():
-    with pytest.raises(SizeMismatch):
-        embed.evaluate_average_distortion(np.zeros((3, 2)), four_cycle_path_metric(),
-                                          np.full(4, 0.25), 2.0, 1.0)
 
 
 def test_duality_forward_on_cycle_witness():

@@ -5,16 +5,14 @@ from collections import deque
 import numpy as np
 import pytest
 
-from nsgap import expander, markov, rayleigh
+from nsgap import expander, markov
 from nsgap.errors import (
     Disconnected,
-    NotReversibleChain,
     ParityViolation,
     ResampleBudgetExceeded,
     UnsupportedSpace,
     ValidationError,
 )
-from nsgap.spaces import MetricSpace
 
 
 def complete_graph_four():
@@ -197,50 +195,6 @@ def test_coarse_obstruction_values():
         == pytest.approx(6.0, abs=1e-12)
 
 
-def test_lp_gap_check_hilbert_exact():
-    chain = expander.graph_chain(complete_graph_four())
-    rep = expander.lp_gap_check(chain, 2.0, dim=4)
-    assert rep["heuristic_gamma"] == pytest.approx(0.75, abs=1e-9)
-    assert rep["bound"] == pytest.approx(3.0, abs=1e-9)
-    assert rep["ratio"] == pytest.approx(0.25, abs=1e-9)
-    assert not rep["vacuous"]
-
-
-def test_lp_gap_check_l4_below_bound():
-    chain = expander.graph_chain(four_cycle_graph())
-    lazy = markov.lazy_power(chain, 1)
-    rep = expander.lp_gap_check(lazy, 4.0, dim=4)
-    assert rep["bound"] == pytest.approx(32.0, abs=1e-9)
-    assert rep["ratio"] is None or rep["ratio"] <= 1.0 + 1e-9
-    assert not rep["vacuous"]
-
-
-def test_lp_gap_check_takes_the_gap_of_estimate_gap():
-    """The l_2 case is the closed form and l_4 the heuristic, as chosen by
-    rayleigh.estimate_gap over squared l_p distances."""
-    cases = [(expander.graph_chain(complete_graph_four()), 2.0, "exact_hilbert"),
-             (markov.lazy_power(expander.graph_chain(four_cycle_graph()), 1), 4.0,
-              "heuristic_lower_bound")]
-    for chain, p, kind in cases:
-        rep = expander.lp_gap_check(chain, p, dim=4)
-        est = rayleigh.estimate_gap(chain, MetricSpace.lp(p, 4), 2.0,
-                                    restarts=8, iters=200, seed=0)
-        assert est.kind == kind
-        assert rep["heuristic_gamma"] == est.value
-
-
-def test_lp_gap_check_identity_vacuous():
-    ident = markov.build_reversible_chain(np.eye(3), np.full(3, 1.0 / 3.0))
-    rep = expander.lp_gap_check(ident, 2.0, dim=3)
-    assert rep["vacuous"]
-
-
-def test_lp_gap_check_rejects_small_p():
-    chain = expander.graph_chain(complete_graph_four())
-    with pytest.raises(ValidationError):
-        expander.lp_gap_check(chain, 1.5, dim=4)
-
-
 def test_cubic_graphs_concentrate_below_095():
     """Cubic expanders: lambda_2 of the walk should fall below 0.95 for at
     least 95 of 100 seeds at each size."""
@@ -260,14 +214,6 @@ def test_graph_json():
     out = expander.graph_to_json(g)
     assert out["n"] == 4 and out["d"] == 2 and out["connected"]
     assert [0, 1] in out["edges"]
-
-
-def test_lp_gap_check_rejects_nonreversible():
-    A = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-    chain = markov.StochasticChain(n=3, A=A, pi=np.full(3, 1.0 / 3.0),
-                                   reversible=False)
-    with pytest.raises(NotReversibleChain):
-        expander.lp_gap_check(chain, 2.0, dim=3)
 
 
 # --- batched sampler against the sequential one ------------------------------

@@ -1,11 +1,12 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from nsgap import john
-from nsgap.errors import DegenerateSpan, NoConvergence
+from nsgap.errors import DegenerateSpan, DimensionMismatch, NoConvergence
 from nsgap.spaces import MetricSpace
 
 
@@ -184,6 +185,23 @@ def test_lp_sampled_approximation():
     assert out["approximate"]
     assert 1.0 <= out["D_X"] <= math.sqrt(3.0) * 1.2
     assert "sampling_slack" in out
+
+
+def test_lp_dimension_cap_refuses_before_allocating():
+    """Every l_p kind is refused above LP_DIM_CAP: the Euclidean identity
+    alone took 1.3 GB at d = 4096 and 74.5 GiB at d = 10^5."""
+    out = john.hilbert_distance(MetricSpace.lp(2.0, john.LP_DIM_CAP))
+    assert out["D_X"] == 1.0
+    tracemalloc.start()
+    try:
+        for p in (1.0, 2.0, 3.0, float("inf")):
+            for d in (john.LP_DIM_CAP + 1, 100_000):
+                with pytest.raises(DimensionMismatch, match="capped at d = 64"):
+                    john.hilbert_distance(MetricSpace.lp(p, d))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_general_polytope_john_bound():

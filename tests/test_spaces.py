@@ -11,7 +11,6 @@ from nsgap.errors import (
     BadExponentRange,
     DegenerateSpan,
     DimensionMismatch,
-    LengthMismatch,
     NotAMetric,
     UnsupportedSpace,
 )
@@ -21,10 +20,7 @@ from nsgap.spaces import (
     EllipsoidNorm,
     MetricSpace,
     config_distance_matrix,
-    distance,
-    modulus_check,
     pair_norms,
-    product_distance,
     space_from_json,
     space_to_json,
 )
@@ -36,18 +32,23 @@ def path_metric_four_cycle():
     )
 
 
+def pair_distance(space, a, b) -> float:
+    """Snowflaked distance between two points, from the configuration (a, b)."""
+    return float(config_distance_matrix(Configuration(space, [a, b]))[0, 1])
+
+
 def test_distance_linf():
     space = MetricSpace.lp(float("inf"), 2)
-    assert distance(space, (0, 0), (3, 4)) == 4.0
+    assert pair_distance(space, (0, 0), (3, 4)) == 4.0
 
 
 def test_distance_snowflaked_euclidean():
     space = MetricSpace.lp(2.0, 2, theta=0.5)
-    assert distance(space, (0, 0), (3, 4)) == pytest.approx(np.sqrt(5.0), abs=1e-12)
+    assert pair_distance(space, (0, 0), (3, 4)) == pytest.approx(np.sqrt(5.0), abs=1e-12)
 
 
 def test_distance_finite_path():
-    assert distance(path_metric_four_cycle(), 0, 2) == 2.0
+    assert pair_distance(path_metric_four_cycle(), 0, 2) == 2.0
 
 
 def test_finite_metric_validation():
@@ -86,56 +87,6 @@ def test_triangle_violation_across_row_blocks():
         MetricSpace.finite(dist)
 
 
-def test_product_distance_identical():
-    space = MetricSpace.lp(2.0, 2)
-    x = Configuration(space, np.array([[0.0, 0.0], [1.0, 1.0]]))
-    assert product_distance([0.5, 0.5], space, 2.0, x, x) == 0.0
-
-
-def test_product_distance_constant():
-    space = path_metric_four_cycle()
-    x = Configuration(space, [0, 0])
-    y = Configuration(space, [1, 1])
-    assert product_distance([0.5, 0.5], space, 2.0, x, y) == pytest.approx(1.0)
-
-
-def test_product_distance_weighted():
-    space = path_metric_four_cycle()
-    x = Configuration(space, [0, 1])
-    y = Configuration(space, [2, 1])
-    assert product_distance([0.25, 0.75], space, 1.0, x, y) == pytest.approx(0.5)
-
-
-def test_product_distance_length_mismatch():
-    space = path_metric_four_cycle()
-    x = Configuration(space, [0, 1, 2])
-    with pytest.raises(LengthMismatch):
-        product_distance([0.5, 0.5], space, 1.0, x, x)
-
-
-def test_modulus_convex_hilbert():
-    rep = modulus_check(MetricSpace.lp(2.0, 3), "convex", 2.0, 1.0, trials=2000)
-    assert rep["violations"] == 0
-    assert rep["worst_ratio"] == pytest.approx(1.0, abs=1e-9)
-
-
-def test_modulus_convex_l4():
-    rep = modulus_check(MetricSpace.lp(4.0, 3), "convex", 4.0, 1.0, trials=10_000)
-    assert rep["violations"] == 0
-
-
-def test_modulus_smooth_l1():
-    rep = modulus_check(MetricSpace.lp(1.0, 2), "smooth", 1.0, 1.0, trials=2000)
-    assert rep["violations"] == 0
-
-
-def test_modulus_rejects_bad_exponents():
-    with pytest.raises(BadExponentRange):
-        modulus_check(MetricSpace.lp(2.0, 2), "smooth", 3.0, 1.0)
-    with pytest.raises(BadExponentRange):
-        modulus_check(MetricSpace.lp(2.0, 2), "convex", 1.5, 1.0)
-
-
 @settings(deadline=None, max_examples=50)
 @given(st.floats(0.05, 1.0), st.floats(0.05, 1.0), st.floats(0.01, 10.0))
 def test_snowflake_monotonicity(theta_small, frac, base):
@@ -153,23 +104,8 @@ def test_gauge_homogeneity(lam, seed):
     b = rng.standard_normal(3)
     for space in (MetricSpace.lp(3.0, 3), MetricSpace.lp(float("inf"), 3),
                   MetricSpace.ellipsoid_space(EllipsoidNorm(np.diag([1.0, 2.0, 3.0])))):
-        zero = np.zeros(3)
-        lhs = distance(space, zero, lam * b)
-        rhs = abs(lam) ** space.theta * distance(space, zero, b)
-        assert lhs == pytest.approx(rhs, abs=1e-12, rel=1e-12)
-
-
-def test_product_metric_triangle_inequality():
-    rng = np.random.default_rng(5)
-    space = MetricSpace.lp(2.0, 2, theta=0.7)
-    pi = np.array([0.2, 0.3, 0.5])
-    for _ in range(50):
-        x, y, z = (Configuration(space, rng.standard_normal((3, 2))) for _ in range(3))
-        for p in (1.0, 2.0, 3.5):
-            dxz = product_distance(pi, space, p, x, z)
-            dxy = product_distance(pi, space, p, x, y)
-            dyz = product_distance(pi, space, p, y, z)
-            assert dxz <= dxy + dyz + 1e-9
+        lhs, rhs = pair_norms(space, np.stack([lam * b, b]))[0]
+        assert lhs == pytest.approx(abs(lam) * rhs, abs=1e-12, rel=1e-12)
 
 
 def test_polytope_gauge_matches_linf():
@@ -324,7 +260,8 @@ def test_config_distance_matrix_consistency():
     mat = config_distance_matrix(x)
     for i in range(4):
         for j in range(4):
-            assert mat[i, j] == pytest.approx(distance(space, pts[i], pts[j]), abs=1e-12)
+            ref = np.max(np.abs(pts[i] - pts[j])) ** 0.5
+            assert mat[i, j] == pytest.approx(ref, abs=1e-12)
 
 
 def test_space_json_roundtrip():
