@@ -126,22 +126,47 @@ def gamma_hilbert_exact(chain: StochasticChain) -> GapEstimate:
 # --- exhaustive enumeration over finite metrics -----------------------------
 
 _ENUM_CHUNK = 2**14  # configurations per block; a pair block holds >= m^(n+1)
-_MIN_RUN = 100  # broadcast adds over shorter contiguous runs ran up to 2x slower
+# values per contiguous run of a materialized term: m^t is 125 to 343 for
+# m = 3..7 (adds over runs below 100 ran up to 2x slower) and 64 at m = 8,
+# where runs of 512 held the gap scan's operands above 1 MB
+_MAX_RUN = 400
+
+
+def _run_digits(m, n):
+    """The t trailing digits a term touching them is materialized over: the
+    most with m^t <= _MAX_RUN, so each of its adds runs over m^t values."""
+    return max(t for t in range(1, n + 1) if m**t <= _MAX_RUN)
 
 
 def _config_blocks(tables, m, n):
-    """Blocks over the last L digits.  Term (i, j) is the table indexed by
-    digits i and j, each a head value or an arange on its own leaf axis (the
-    diagonal when i == j), broadcast onto the block in (i, j) order."""
+    """Blocks over the last L digits, one per value of the H = n - L head
+    digits.  Term (i, j) is the table on the axes of digits i and j (the
+    diagonal when i == j), added onto the block in (i, j) order.  With more
+    than one block a term's head axes are broadcast, so a block picks them by
+    basic indexing, and a term touching the last t <= L digits is
+    materialized over all t, so its adds run over contiguous runs of m^t."""
     L = max(L for L in range(n + 1) if m**L <= _ENUM_CHUNK)
-    leaf = [np.arange(m).reshape((1,) * k + (m,) + (1,) * (L - 1 - k)) for k in range(L)]
+    H = n - L
+    t = min(_run_digits(m, n), L) if H else 0
+    swapped = tables.swapaxes(3, 4)
+    terms = []
+    for i in range(n):
+        for j in range(n):
+            shape = [2] + [1] * n
+            shape[1 + i] = shape[1 + j] = m
+            term = (tables[:, i, i].diagonal(0, 1, 2) if i == j else
+                    tables[:, i, j] if i < j else swapped[:, i, j]).reshape(shape)
+            if max(i, j) >= n - t:
+                term = np.broadcast_to(term, tuple(shape[:1 + n - t]) + (m,) * t).copy()
+            if H:
+                term = np.broadcast_to(term, (2,) + (m,) * H + term.shape[1 + H:])
+            terms.append(term)
     block = np.empty((2,) + (m,) * L)
-    for head in np.ndindex((m,) * (n - L)):
-        digit = [np.full((1,) * L, h) for h in head] + leaf
+    for head in np.ndindex((m,) * H):
+        head = (slice(None),) + head
         block[...] = 0.0
-        for i in range(n):
-            for j in range(n):
-                block += tables[:, i, j, digit[i], digit[j]]
+        for term in terms:
+            block += term[head]
         yield block[0].ravel(), block[1].ravel()
 
 
@@ -150,9 +175,9 @@ def _pair_blocks(tables, m, n):
     row i the row-major sum over (i, j) depends only on x_0..x_i and y, so
     level i holds it for each x_i (and leaf digit of x before it) and each y.
     A new head changes its last nonzero digit k, so levels k+1.. are redone.
-    Term (i, j) is w_ij P on the axes of x_i and y_j, added in runs >= _MIN_RUN."""
+    Term (i, j) is w_ij P on the axes of x_i and y_j, added in runs of m^t."""
     r = max((r for r in range(1, n + 1) if m ** (n + r) <= _ENUM_CHUNK), default=1)
-    H, t = n - r, next((t for t in range(1, n + 1) if m**t >= _MIN_RUN), n)
+    H, t = n - r, _run_digits(m, n)
     terms = [[tables[:, i, j].reshape((2, 1, m) + (1,) * j + (m,) + (1,) * (n - 1 - j))
               for j in range(n)] for i in range(n)]
     for row in terms:
@@ -175,7 +200,11 @@ def _enumerate(chain: StochasticChain, space: MetricSpace, p: float, pairs: bool
     N = n for the gap; N = 2n for the absolute gap, whose pair (x, y) is one
     configuration where digit i of x meets digit n + j of y.  Both scans
     yield row-major (num, den) blocks of O(n _ENUM_CHUNK) memory from one
-    table of the terms w_ij P[a, b] and u_ij P[a, b]."""
+    table of the terms w_ij P[a, b] and u_ij P[a, b].  A block takes three
+    passes (min, divide, arg-max) unless some numerator is at most the zero
+    threshold; only those few (the constant configurations, at least) get the
+    zero test and -inf.  A best ratio that is not > 0 reruns the block under
+    the live-mask test, so value and witness are those of that test alone."""
     _check_p(p)
     if space.kind != "finite":
         raise UnsupportedSpace("enumeration requires a finite metric")
@@ -189,17 +218,24 @@ def _enumerate(chain: StochasticChain, space: MetricSpace, p: float, pairs: bool
     tables = np.stack([w, u])[:, :, :, None, None] * powered
     threshold = ZERO_QUOTIENT * max(float(np.max(powered)), 1e-300)
     best, best_k, start = -np.inf, -1, 0
-    for num, den in (_pair_blocks if pairs else _config_blocks)(tables, m, n):
-        live = den > 0
-        zero = live & (num <= threshold)
-        if zero.any():
-            best, best_k = float("inf"), start + int(np.argmax(zero))
-            break
-        ratio = np.where(live, den / np.where(live, num, 1.0), -np.inf)
-        k = int(np.argmax(ratio))
-        if ratio[k] > best:
-            best, best_k = float(ratio[k]), start + k
-        start += num.size
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for num, den in (_pair_blocks if pairs else _config_blocks)(tables, m, n):
+            low = np.flatnonzero(num <= threshold) if num.min() <= threshold else ()
+            ratio = den / num
+            if len(low):  # the constant configurations, and any zero numerator
+                zero = low[den[low] > 0]
+                if zero.size:
+                    best, best_k = float("inf"), start + int(zero[0])
+                    break
+                ratio[low] = -np.inf
+            k = int(np.argmax(ratio))
+            if not ratio[k] > 0:  # a NaN, or no live configuration: the exact test
+                live = den > 0
+                ratio = np.where(live, den / np.where(live, num, 1.0), -np.inf)
+                k = int(np.argmax(ratio))
+            if ratio[k] > best:
+                best, best_k = float(ratio[k]), start + k
+            start += num.size
     if best_k < 0:
         raise ConstantConfiguration("every configuration is constant")
     return best, np.array(np.unravel_index(best_k, (m,) * N))

@@ -10,6 +10,7 @@ distances are reported through the snowflake exponent theta in (0, 1].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -19,6 +20,7 @@ from .errors import (
     BadExponentRange,
     DegenerateSpan,
     DimensionMismatch,
+    InstanceTooLarge,
     LengthMismatch,
     NotAMetric,
     UnsupportedSpace,
@@ -27,6 +29,11 @@ from .errors import (
 FINITE_N_CAP = 512
 TRIANGLE_TOL = 1e-9
 POLYTOPE_DIM_CAP = 12  # facet counts grow exponentially with the dimension
+# bound on the upper-bound-theorem facet count of the symmetrized vertices,
+# checked before Qhull runs: the gap heuristic takes at most 200,000 facets
+# (n^2 F <= HEURISTIC_CAP with n >= 2), and random inputs at the cap built in
+# about 0.3 s; 40 random vertices in d = 10 (bound 1.8e7) took 12 s and 315 MB
+POLYTOPE_FACET_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -78,8 +85,8 @@ class MetricSpace:
                 raise DimensionMismatch("l_p norm requires a positive dimension")
         elif self.kind == "polytope_norm":
             v = np.asarray(self.vertices, dtype=float)
-            if v.ndim != 2:
-                raise DimensionMismatch("polytope vertices must be an m-by-d array")
+            if v.ndim != 2 or v.size == 0:
+                raise DimensionMismatch("polytope vertices must be a nonempty m-by-d array")
             if v.shape[1] > POLYTOPE_DIM_CAP:
                 raise UnsupportedSpace(f"polytope norms capped at d = {POLYTOPE_DIM_CAP}")
             # enforce origin symmetry by augmenting with negations; Qhull and
@@ -87,6 +94,11 @@ class MetricSpace:
             v = np.vstack([v, -v])
             if np.linalg.matrix_rank(v) < v.shape[1]:
                 raise DimensionMismatch("polytope vertices do not span R^d")
+            bound = _facet_bound(*v.shape)
+            if bound > POLYTOPE_FACET_CAP:
+                raise InstanceTooLarge(f"{v.shape[0]} symmetrized vertices in d = {v.shape[1]} "
+                                       f"bound the facet count by {bound}, which exceeds "
+                                       f"{POLYTOPE_FACET_CAP}")
             z = _facet_normals(v)
             object.__setattr__(self, "vertices", v)
             object.__setattr__(self, "facets", z)
@@ -217,6 +229,12 @@ def _validate_finite_metric(dist, positive: bool = False) -> np.ndarray:
         if np.max(d[lo:lo + block] - through) > TRIANGLE_TOL:
             raise NotAMetric("triangle inequality violated")
     return d
+
+
+def _facet_bound(v: int, d: int) -> int:
+    """The upper bound theorem: no d-polytope with v vertices has more facets
+    than the cyclic polytope, nor does a triangulation of its boundary."""
+    return math.comb(v - (d + 1) // 2, d // 2) + math.comb(v - d // 2 - 1, (d - 1) // 2)
 
 
 def _facet_normals(v: np.ndarray) -> np.ndarray:

@@ -461,6 +461,20 @@ def test_oversized_polytope_exit_2(tmp_path, flip_chain_file):
                     "--method", "heuristic"]) == 2
 
 
+def test_polytope_facet_bound_precedes_qhull(tmp_path, flip_chain_file, capsys):
+    """40 random vertices in d = 10 took 12 s and 315 MB in Qhull; their 80
+    symmetrized points bound the facet count by 1.8e7, above the cap."""
+    space = tmp_path / "poly40.json"
+    vertices = np.random.default_rng(0).standard_normal((40, 10))
+    space.write_text(json.dumps({"kind": "polytope", "vertices": vertices.tolist()}))
+    start = time.process_time()
+    code = cli.run(["gap", "--chain", flip_chain_file, "--space", str(space),
+                    "--method", "heuristic"])
+    assert time.process_time() - start < 0.5
+    assert code == 2
+    assert "exceeds 200000" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_3(monkeypatch, tmp_path):
     from nsgap.errors import ResampleBudgetExceeded
 

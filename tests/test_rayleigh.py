@@ -131,11 +131,10 @@ def test_gamma_bruteforce_caps():
         rayleigh.gamma_bruteforce(flip_chain(), big, 1.0)
 
 
-def _reference_enumeration(chain, space, p, pairs):
-    """The two enumerations before they shared one kernel: a full table of
-    configurations (K x K pairs for the absolute gap), an n^2 gather loop,
-    the zero-quotient test and a first-index arg-max.  Returns the value
-    (-inf when every configuration is constant) and the witness digits."""
+def _reference_sums(chain, space, p, pairs):
+    """Numerators and denominators over a full table of configurations (K x K
+    pairs for the absolute gap) by an n^2 gather loop in (i, j) order, the
+    powered distances and the configurations."""
     m, n = space.n_points, chain.n
     powered = (space.dist**space.theta) ** p
     configs = np.array(list(itertools.product(range(m), repeat=n)), dtype=int)
@@ -152,6 +151,15 @@ def _reference_enumeration(chain, space, p, pairs):
                 vals = powered[configs[:, i], configs[:, j]]
             num += w[i, j] * vals
             den += u[i, j] * vals
+    return num, den, powered, configs
+
+
+def _reference_enumeration(chain, space, p, pairs):
+    """The two enumerations before they shared one kernel: the reference
+    sums, the zero-quotient test and a first-index arg-max.  Returns the
+    value (-inf when every configuration is constant) and the witness digits."""
+    num, den, powered, configs = _reference_sums(chain, space, p, pairs)
+    shape = num.shape
     live = den > 0
     scale = max(float(np.max(powered)), 1e-300)
     zero_num = live & (num <= rayleigh.ZERO_QUOTIENT * scale)
@@ -209,6 +217,24 @@ def test_enumeration_matches_reference_bit_for_bit(monkeypatch, chunk):
     assert kinds == {True, False}
 
 
+@pytest.mark.parametrize("pairs, m, n, chunk", [
+    (False, 5, 5, 125), (False, 5, 5, 625), (False, 8, 5, 512), (False, 3, 6, 2**14),
+    (True, 3, 4, 4), (True, 3, 4, 2**14), (True, 4, 3, 2**14), (True, 2, 5, 2**14)])
+def test_block_streams_equal_the_reference_sums(monkeypatch, pairs, m, n, chunk):
+    """Every numerator and denominator the scans yield, in row-major order,
+    equals the reference's sum bit for bit: an add taken out of (i, j) order
+    changes some of them even where the winning quotient keeps its value."""
+    monkeypatch.setattr(rayleigh, "_ENUM_CHUNK", chunk)
+    chain, space = _benchmark_shape(m, n, 80 + m + n)
+    num, den, powered, _ = _reference_sums(chain, space, 1.5, pairs)
+    w, u = chain.pi[:, None] * chain.A, np.outer(chain.pi, chain.pi)
+    tables = np.stack([w, u])[:, :, :, None, None] * powered
+    scan = rayleigh._pair_blocks if pairs else rayleigh._config_blocks
+    blocks = [(a.copy(), b.copy()) for a, b in scan(tables, m, n)]
+    np.testing.assert_array_equal(np.concatenate([a for a, _ in blocks]), num.ravel())
+    np.testing.assert_array_equal(np.concatenate([b for _, b in blocks]), den.ravel())
+
+
 def _benchmark_shape(m, n, seed):
     rng = np.random.default_rng(seed)
     chain = (markov.random_reversible_chain(n, rng) if n > 1
@@ -216,11 +242,11 @@ def _benchmark_shape(m, n, seed):
     return chain, _random_metric(m, rng) if m > 1 else MetricSpace.finite(np.zeros((1, 1)))
 
 
-@pytest.mark.parametrize("m, n", [(8, 6), (5, 4), (8, 1), (1, 6)])
+@pytest.mark.parametrize("m, n", [(8, 6), (7, 6), (5, 4), (8, 1), (1, 6)])
 def test_gap_at_benchmark_shapes_matches_reference(m, n):
-    """m8n6 and m5n4 are the gap-brute classes of the finite benchmark mix;
-    m8n6 has two head digits at the default block size.  With one state or
-    one point every configuration is constant."""
+    """m8n6, m7n6 and m5n4 are the gap-brute classes of the finite benchmark
+    mix; m8n6 and m7n6 have two head digits at the default block size.  With
+    one state or one point every configuration is constant."""
     chain, space = _benchmark_shape(m, n, 40 + m + n)
     value, digits = _reference_enumeration(chain, space, 2.0, pairs=False)
     if n == 1 or m == 1:
@@ -231,6 +257,44 @@ def test_gap_at_benchmark_shapes_matches_reference(m, n):
     est = rayleigh.gamma_bruteforce(chain, space, 2.0)
     assert math.isfinite(value) and est.value == value
     np.testing.assert_array_equal(est.witness.points, digits)
+
+
+def _isolated_state_chain(n):
+    """State 0 never moves and the others mix uniformly: (c, d, ..., d) with
+    c != d has a zero numerator, and the first such configuration,
+    (0, 1, ..., 1), lies past the first block once there are two head digits."""
+    A = np.zeros((n, n))
+    A[0, 0] = 1.0
+    A[1:, 1:] = 1.0 / (n - 1)
+    return markov.build_reversible_chain(A, np.full(n, 1.0 / n))
+
+
+@pytest.mark.parametrize("m, n, chunk", [(5, 5, 125), (5, 5, 625), (7, 5, 343),
+                                         (7, 5, 2401), (8, 5, 64), (8, 5, 512)])
+def test_gap_scan_with_head_digits_matches_reference(monkeypatch, m, n, chunk):
+    """Blocks of L = log_m(chunk) digits under one or more head digits, with
+    the t materialized trailing digits equal to L or fewer, so every operand
+    is picked per block by its head digits.  Random, identity, near-identity
+    and isolated-state chains run the block test's fast path, its low-index
+    path (the constant configurations) and its zero test."""
+    L = round(math.log(chunk, m))
+    assert n - L >= 1 and rayleigh._run_digits(m, n) <= L
+    monkeypatch.setattr(rayleigh, "_ENUM_CHUNK", chunk)
+    rng = np.random.default_rng(100 * m + chunk)
+    space = _random_metric(m, rng)
+    near = np.full((n, n), 1e-17) + (1.0 - n * 1e-17) * np.eye(n)
+    chains = [markov.random_reversible_chain(n, rng), identity_chain(n),
+              markov.build_reversible_chain(near, np.full(n, 1.0 / n)),
+              _isolated_state_chain(n)]
+    values = []
+    for chain, p in zip(chains, (2.0, 1.0, 3.5, 2.0)):
+        value, digits = _reference_enumeration(chain, space, p, pairs=False)
+        est = rayleigh.gamma_bruteforce(chain, space, p)
+        assert est.value == value
+        np.testing.assert_array_equal(est.witness.points, digits)
+        values.append(value)
+    assert math.isfinite(values[0]) and all(map(math.isinf, values[1:]))
+    np.testing.assert_array_equal(digits, [0] + [1] * (n - 1))
 
 
 def test_gap_at_m8_n6_traced_peak_under_half_mb():
@@ -244,6 +308,24 @@ def test_gap_at_m8_n6_traced_peak_under_half_mb():
     finally:
         tracemalloc.stop()
     assert peak < 2**19
+
+
+def test_gap_traced_peak_under_1mb_at_every_accepted_shape():
+    """Every shape the gap scan accepts (m <= 8, n <= 6, m^n <= ENUM_CAP) holds
+    one block, its materialized term operands and the term table in 1 MB."""
+    peaks = {}
+    for m, n in itertools.product(range(2, 9), range(2, 7)):
+        if m**n > rayleigh.ENUM_CAP:
+            continue
+        chain, space = _benchmark_shape(m, n, 60 + m + n)
+        tracemalloc.start()
+        try:
+            rayleigh.gamma_bruteforce(chain, space, 2.0)
+            peaks[m, n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    worst = max(peaks, key=peaks.get)
+    assert len(peaks) == 35 and peaks[worst] <= 2**20, (worst, peaks[worst])
 
 
 def test_degenerate_enumeration_raises():
@@ -321,6 +403,10 @@ def _pair_instances():
         "near_identity_m5_n3": (markov.build_reversible_chain(near, np.full(3, 1.0 / 3.0)),
                                 _random_metric(5, rng), 2.0),
         "cap_m5_n5": (markov.random_reversible_chain(5, rng), _random_metric(5, rng), 2.0),
+        # the other gap-plus classes of the finite benchmark mix
+        "bench_m4_n4": (markov.random_reversible_chain(4, rng), _random_metric(4, rng), 2.0),
+        "bench_m4_n5": (markov.random_reversible_chain(5, rng), _random_metric(4, rng), 2.0),
+        "bench_m3_n6": (markov.random_reversible_chain(6, rng), _random_metric(3, rng), 2.0),
     }
 
 

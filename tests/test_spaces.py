@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nsgap import spaces
 from nsgap.errors import (
     BadExponentRange,
     DegenerateSpan,
@@ -221,6 +222,26 @@ def test_large_polytope_builds_quickly():
     assert time.process_time() - start < 0.5
     # the vertices and their negations are stored as given, repeats included
     np.testing.assert_array_equal(space.vertices, np.vstack([v, -v]))
+
+
+def test_facet_bound_holds_and_admits_the_cross_polytope():
+    """Qhull's facets never exceed the upper-bound-theorem count, which the
+    12-dimensional cross-polytope (4,096 facets, bound 24,752) stays under."""
+    rng = np.random.default_rng(8)
+    for d, m in ((2, 9), (3, 40), (4, 12), (5, 9), (6, 8)):
+        space = MetricSpace.polytope(rng.standard_normal((m, d)))
+        assert space.facets.shape[0] <= spaces._facet_bound(2 * m, d)
+    cross = MetricSpace.polytope(np.eye(12))
+    assert cross.facets.shape[0] == 4096
+    assert spaces._facet_bound(24, 12) == 24752 <= spaces.POLYTOPE_FACET_CAP
+    assert spaces._facet_bound(600, 3) == 1196  # 2V - 4 in three dimensions
+
+
+def test_polytope_without_vertices_or_coordinates_is_rejected():
+    """Zero coordinates used to reach Qhull, which raised a bare ValueError."""
+    for shape in ((0, 3), (2, 0)):
+        with pytest.raises(DimensionMismatch, match="nonempty"):
+            MetricSpace.polytope(np.ones(shape))
 
 
 def test_one_dimensional_polytope_is_an_interval():
