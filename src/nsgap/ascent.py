@@ -128,22 +128,26 @@ def lockstep(evaluate, starts, first: int, iters: int, rule: InOrder) -> None:
     and feed their quotients to `rule` in restart order.
 
     Row 0 of the stack is the first restart that has not stopped; it is fed
-    its quotients as they arrive.  A later row records them, with its points
-    at its own best, and leaves the stack after 51 steps in a row in which it
-    beat neither the current best less 1e-15 nor its own earlier quotients:
-    no such step is a new best from any best the earlier restarts can leave,
-    so the row has stopped by then, perhaps some steps before.  When row 0
-    stops, the next restart is fed its record and takes its place; a record
-    whose own best does not beat the best less 1e-15 is taken at once."""
+    its quotients as they arrive.  A later row records them, one line of
+    `record` a step.  Its step is fresh if it beats both the current best
+    less 1e-15 and its own earlier quotients; a fresh step keeps the row's
+    points.  A row leaves the stack after 51 steps in a row that are not
+    fresh (t - fresh_at > 50): no such step is a new best from any best the
+    earlier restarts can leave, so the row has stopped by then, perhaps some
+    steps before.  When row 0 stops, the next restart is fed its record and
+    takes its place; a record whose least quotient does not beat the best
+    less 1e-15 is taken at once.  Any step fed as a new best is fresh, so
+    the snapshot holds the witness whenever it is the row's last fresh step;
+    otherwise `trajectory` recomputes it from the start."""
     size = len(starts)
     pts, rows = starts.copy(), list(range(size))
     left, collapsed_rows = {}, set()  # rows off the stack: their recorded steps
     rule.begin(first, starts[0])
-    if size > 1:  # the later rows' quotients (a step a line), own bests and snapshots
+    if size > 1:  # the later rows' quotients, last fresh steps and their points
         later = np.arange(1, size)
         record = np.empty((min(iters, 64), size))
-        own, streak = np.full(size, math.inf), np.zeros(size, dtype=int)
-        snap, snap_at = np.empty_like(starts), np.full(size, -1)
+        snap, fresh_at = np.empty_like(starts), np.full(size, -1)
+        oldest = -1  # at most the least fresh_at of a later row
     for t in range(iters):
         r, grad, scale, collapsed = evaluate(pts)
         gone = bool(collapsed)
@@ -152,17 +156,19 @@ def lockstep(evaluate, starts, first: int, iters: int, rule: InOrder) -> None:
                 record = np.concatenate([record, np.empty_like(record)])
             v = r[1:]
             record[t, later] = v
-            prev = own[later]
-            better = v < prev
-            own[later] = np.where(better, v, prev)
-            stale = np.where(better & (v < rule.best - 1e-15), 0, streak[later] + 1)
-            streak[later] = stale
-            if better.any():
-                snap[later[better]] = pts[1:][better]
-                snap_at[later[better]] = t
-            for pos in np.flatnonzero(stale > 50):
-                left[rows[pos + 1]] = t + 1
-                gone = True
+            below = (v < rule.best - 1e-15).nonzero()[0]
+            if below.size:  # rare after the first steps
+                own = np.fmin.reduce(record[:t, later[below]], axis=0, initial=math.inf)
+                fresh = below[v[below] < own]
+                fresh_at[later[fresh]] = t
+                snap[later[fresh]] = pts[fresh + 1]
+            if t - oldest > 50:
+                stale = t - fresh_at[later]
+                for pos in np.flatnonzero(stale > 50):
+                    left[rows[pos + 1]] = t + 1
+                    gone = True
+                # the least fresh_at of the rows that stay
+                oldest = t - int(stale.max(where=stale <= 50, initial=0))
         for pos in collapsed:
             left[rows[pos]] = t
             collapsed_rows.add(rows[pos])
@@ -180,8 +186,9 @@ def lockstep(evaluate, starts, first: int, iters: int, rule: InOrder) -> None:
                     return
                 rule.begin(first + k, starts[k])
                 steps = left.get(k, t + 1)
-                if own[k] < rule.best - 1e-15:  # some recorded quotient is a new best
-                    s = _feed_record(rule, record[:steps, k].tolist(), snap[k], snap_at[k])
+                own = np.fmin.reduce(record[:steps, k], initial=math.inf)
+                if own < rule.best - 1e-15:  # some recorded quotient is a new best
+                    s = _feed_record(rule, record[:steps, k].tolist(), snap[k], fresh_at[k])
                 else:  # every recorded quotient is stale, NaN ones too
                     s = rule.skip(steps)
                 if s is not None:

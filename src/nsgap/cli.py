@@ -7,7 +7,8 @@ bit-identical output.  Numeric results carry a provenance tag out of
 {exact, brute_force, heuristic, fitted}.
 
 Exit codes: 0 success, 2 invalid input (an input file that cannot be read or
-converted is invalid input), 3 numerical failure, 64 unknown subcommand.
+converted, or an output file that cannot be written, is invalid input), 3
+numerical failure, 64 unknown subcommand.
 """
 
 from __future__ import annotations
@@ -127,12 +128,24 @@ def _emit(report: dict, config: dict, args) -> None:
         # write over the old bytes and truncate after: truncating a written
         # file to zero at open starts its writeback; only regular files can
         # be truncated (not a pipe behind /dev/stdout)
-        with open(os.open(args.output, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-            fh.write(text.encode("utf-8"))
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate()
+        try:
+            with open(os.open(args.output, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+                fh.write(text.encode("utf-8"))
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate()
+        except OSError as exc:
+            raise ValidationError(f"cannot write {args.output!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
+
+
+def _check_output(path: str) -> None:
+    """Refuse an --output path that cannot be written before the command runs."""
+    if os.path.isdir(path):
+        raise ValidationError(f"output {path!r} is a directory")
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ValidationError(f"output directory {folder!r} does not exist")
 
 
 def _chain_from_arg(path: str) -> markov.StochasticChain:
@@ -436,15 +449,16 @@ def run(argv=None) -> int:
         parser.print_help(sys.stderr)
         return 2
     try:
+        if args.output:
+            _check_output(args.output)
         report = _DISPATCH[args.command](args)
+        _emit(report, {k: v for k, v in vars(args).items() if k != "output"}, args)
     except NumericalError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3
     except ValidationError as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return 2
-    config = {k: v for k, v in vars(args).items() if k not in ("output",)}
-    _emit(report, config, args)
     if args.command == "suite" and not report.get("passed", False):
         return 1
     return 0

@@ -239,6 +239,36 @@ def test_output_to_stdout_pipe(tmp_path):
     assert json.loads(proc.stdout)["report"]["graph"]["n"] == 16
 
 
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unwritable_output_exits_2_before_the_command_runs(tmp_path, capsys, monkeypatch,
+                                                           flip_chain_file,
+                                                           hilbert_space_file, where):
+    """An --output path that is a directory, or whose directory is missing,
+    is refused before dispatch: the command never runs."""
+    def never(args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setitem(cli._DISPATCH, "gap", never)
+    output = tmp_path if where == "directory" else tmp_path / "missing" / "out.json"
+    code = cli.run(["gap", "--chain", flip_chain_file, "--space", hilbert_space_file,
+                    "--output", str(output)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:") and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_output_write_failure_exits_2(capsys):
+    """A write that fails after the command ran (here: no space left on the
+    device) is one invalid input line and exit 2, not a traceback."""
+    code = cli.run(["bounds", "--formula", "distortion", "--n", "16", "--d", "4",
+                    "--gamma", "2.0", "--q", "2.0", "--output", "/dev/full"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:") and err.count("\n") == 1
+
+
 # runs each argv of the JSON list in argv[1] through cli.run in this one
 # process; prints the scipy modules loaded at import and after each command
 SCIPY_PROBE = """

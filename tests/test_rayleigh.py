@@ -546,7 +546,9 @@ def _heuristic_instances():
     """Every norm kind at each theta and p, with n, d and (restarts, iters)
     cycling through their values; then the identity chain, shapes on both
     sides of the stack-size cut (n^2 max(d, F) = 2,048 stacks two restarts,
-    4,096 one), and an instance whose witness is recomputed from its start."""
+    4,096 one), an instance whose witness is recomputed from its start, and
+    the normed benchmark's gap requests: l_inf, l_3 and random ellipsoids at
+    n = 3 + (3k + j) % 6 and d = 2 + (k + j) % 3, p = 2, 4 restarts of 60."""
     rng = np.random.default_rng(12)
     runs = [(1, 5), (2, 40), (4, 60), (9, 120), (32, 80)]
     grid = itertools.product((0.5, 0.7, 1.0), (1.0, 1.5, 2.0, 3.0))
@@ -565,6 +567,16 @@ def _heuristic_instances():
         yield markov.random_reversible_chain(n, rng), space, 2.0, restarts, iters, n
     chain = markov.random_reversible_chain(3, np.random.default_rng(48))
     yield chain, MetricSpace.lp(2.0, 1, 0.7), 2.0, 32, 80, 48
+    for k in range(10):
+        for j, kind in enumerate(("linf", "l3", "ellipsoid")):
+            n, d = 3 + (3 * k + j) % 6, 2 + (k + j) % 3
+            chain = markov.random_reversible_chain(n, rng)
+            if kind == "ellipsoid":
+                b = rng.standard_normal((d, d))
+                space = MetricSpace.ellipsoid_space(EllipsoidNorm(b @ b.T + 0.5 * np.eye(d)))
+            else:
+                space = MetricSpace.lp(float("inf") if kind == "linf" else 3.0, d)
+            yield chain, space, 2.0, 4, 60, int(rng.integers(2**31))
 
 
 def test_heuristic_matches_sequential_reference_bit_for_bit(monkeypatch):
@@ -593,6 +605,41 @@ def test_heuristic_matches_sequential_reference_bit_for_bit(monkeypatch):
     assert recomputed  # and one is recomputed from its start
 
 
+@pytest.mark.parametrize("n, space, p, restarts, iters, seed, stacks", [
+    (3, MetricSpace.lp(3.0, 2), 3.0, 300, 120, 1, [227, 73]),
+    (4, MetricSpace.lp(float("inf"), 2), 3.0, 128, 300, 3, [128]),
+])
+def test_heuristic_matches_reference_on_wide_stacks(monkeypatch, n, space, p, restarts,
+                                                    iters, seed, stacks):
+    """Full stacks of 227 and 128 rows on chains with uneven weights, where
+    later rows turn fresh after the first step and leave at several steps."""
+    heights = []
+    evaluator = ascent.evaluator
+
+    def counted(*args):
+        evaluate = evaluator(*args)
+
+        def wrapped(pts):
+            heights.append(len(pts))
+            return evaluate(pts)
+        return wrapped
+
+    monkeypatch.setattr(ascent, "evaluator", counted)
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.0, 1.0, size=(n, n)) ** 4
+    w = w + w.T
+    chain = markov.build_reversible_chain(w / w.sum(axis=1)[:, None], w.sum(axis=1) / w.sum())
+    value, points, evaluations, stop, _ = _reference_heuristic(
+        chain, space, p, restarts, iters, seed)
+    est = rayleigh.gamma_heuristic(chain, space, p, restarts=restarts, iters=iters,
+                                   seed=seed)
+    assert est.value == value
+    np.testing.assert_array_equal(est.witness.points, points)
+    assert (est.iterations, est.stop) == (evaluations, stop)
+    assert max(heights) == stacks[0] and all(h in heights for h in stacks)
+    assert len(set(heights)) > 5  # rows left the stack at several steps
+
+
 def test_heuristic_collapsed_restart_counts_as_stalled():
     """A restart that collapses to a constant configuration stops there: the
     collapsing evaluation counts, and the stop reason is stalled.  Here the
@@ -616,6 +663,96 @@ def test_heuristic_collapsed_restart_counts_as_stalled():
     assert (rule.best, rule.evaluations, rule.stop) == (0.5, 6, "stalled")
     assert rule.holder[0] == 1 and rule.holder[2] == 0
     np.testing.assert_array_equal(rule.witness, starts[1])
+
+
+def _scripted(quotients):
+    """A stand-in for `evaluate` that returns scripted quotients.  Row k's
+    points hold k in their first coordinate, and each step moves the second,
+    so a witness shows its restart and step; past its script a row
+    collapses.  `evaluate.seen` counts the evaluations of each restart."""
+    def evaluate(pts):
+        rows = [int(row) for row in pts[:, 0, 0]]
+        t = evaluate.steps
+        evaluate.steps += 1
+        for row in rows:
+            evaluate.seen[row] = evaluate.seen.get(row, 0) + 1
+        scripts = [quotients[row] for row in rows]
+        r = np.array([q[t] if t < len(q) else np.nan for q in scripts])
+        collapsed = [pos for pos, q in enumerate(scripts) if t >= len(q)]
+        grad = np.zeros_like(pts)
+        grad[:, :, 1] = -1.0
+        return r, grad, np.ones((len(rows), 1, 1)), collapsed
+
+    evaluate.steps, evaluate.seen = 0, {}
+    return evaluate
+
+
+def _scripted_starts(size):
+    starts = np.zeros((size, 2, 2))
+    starts[:, :, 0] = np.arange(size)[:, None]
+    return starts
+
+
+def _fed_in_order(quotients, iters):
+    """The same scripted quotients fed to `InOrder` one restart after another."""
+    starts = _scripted_starts(len(quotients))
+    rule = ascent.InOrder()
+    for k, script in enumerate(quotients):
+        rule.begin(k, starts[k])
+        pts = starts[k][None]
+        for t in range(iters):
+            if t >= len(script) or rule.feed(script[t], t, pts[0]):
+                rule.finish(t + 1, "stalled")
+                break
+            grad = np.zeros_like(pts)
+            grad[:, :, 1] = -1.0
+            pts = ascent.step(pts, grad, np.ones((1, 1, 1)), t)
+        else:
+            rule.finish(iters, "iteration_cap")
+    return rule
+
+
+DESCENT = [1.0 - 1e-3 * t for t in range(120)]  # a new best at every step
+
+LOCKSTEP_SCRIPTS = {
+    # row 1 beats row 0's best by less than 1e-15 at step 1, row 2 by more
+    "beats the best by less than 1e-15": (
+        [[1.0] + [2.0] * 119, [3.0, 1.0 - 5e-16] + [3.0] * 118,
+         [3.0, 1.0 - 2e-15] + [3.0] * 118], 120, {}),
+    # row 1 improves its own best at every step, always above row 0's; row 2
+    # drops below the best only after it has stopped
+    "improves its own best only": (
+        [DESCENT, [3.0 - 1e-2 * t for t in range(120)],
+         [3.0] * 60 + [0.5] * 60], 120, {}),
+    # row 1: fresh at step 1, 50 stale steps, fresh again at step 52; row 0
+    # stops at step 51, and row 1 takes over its place on the stack
+    "fresh after exactly 50 stale steps": (
+        [[1.0] + [2.0] * 119, [3.0, 0.9] + [5.0] * 50 + [0.8] + [5.0] * 67],
+        120, {1: 104}),
+    # rows 1 and 2 are fresh only at step 0, where the best is still
+    # infinite, so both leave after step 51 while row 0 runs on; row 2 stays
+    # below the best and is fed its step 0 as the witness
+    "leaves at step 51": (
+        [DESCENT, [3.0] * 120, [0.5] * 120], 120, {1: 52, 2: 52}),
+}
+
+
+@pytest.mark.parametrize("case", list(LOCKSTEP_SCRIPTS))
+def test_lockstep_matches_feeding_in_order(case):
+    """Scripted quotients: lockstep leaves the rule where feeding the same
+    quotients one restart after another does, and rows leave the stack
+    after 51 steps without a fresh one."""
+    quotients, iters, seen = LOCKSTEP_SCRIPTS[case]
+    evaluate = _scripted(quotients)
+    rule = ascent.InOrder()
+    ascent.lockstep(evaluate, _scripted_starts(len(quotients)), 0, iters, rule)
+    fed = _fed_in_order(quotients, iters)
+    assert (rule.best, rule.evaluations, rule.stop) == (fed.best, fed.evaluations, fed.stop)
+    assert (rule.holder[0], rule.holder[2]) == (fed.holder[0], fed.holder[2])
+    if rule.witness is not None:
+        np.testing.assert_array_equal(rule.witness, fed.witness)
+    for row, count in seen.items():
+        assert evaluate.seen[row] == count
 
 
 def test_in_order_skip_matches_feeding_stale_quotients():
@@ -646,6 +783,22 @@ def test_heuristic_many_restarts_traced_peak_under_2mb():
         tracemalloc.stop()
     assert (est.iterations, est.stop) == (100_000, "iteration_cap")
     assert peak < 2 * 2**20
+
+
+def test_heuristic_wide_stacks_traced_peak_under_half_a_megabyte():
+    """2,000 restarts of 500 steps in stacks of 227: the record is one
+    (steps, restarts) array per stack, about 0.37 MB at the peak; a record
+    kept in per-row Python lists peaked at 0.61 MB."""
+    chain = markov.random_reversible_chain(3, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        est = rayleigh.gamma_heuristic(chain, MetricSpace.lp(3.0, 2), 2.0,
+                                       restarts=2000, iters=500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.iterations >= 2000
+    assert peak < 0.5 * 2**20
 
 
 def test_heuristic_work_cap_boundary(monkeypatch):
