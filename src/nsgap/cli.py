@@ -155,8 +155,9 @@ def _chain_from_arg(path: str) -> markov.StochasticChain:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing leaves it unchanged."""
+def _build_parser() -> tuple:
+    """The argument parser and its subcommand parsers by name, built once per
+    process; parsing leaves them unchanged."""
     parser = argparse.ArgumentParser(prog="nsgap")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
@@ -251,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("suite", help="run a named verification battery")
     sp.add_argument("--name", default="acceptance")
     common(sp)
-    return parser
+    return parser, sub.choices
 
 
 def _cmd_gap(args) -> dict:
@@ -435,18 +436,31 @@ _DISPATCH = {
 SUBCOMMANDS = tuple(_DISPATCH)
 
 
+def _parse(argv: list) -> argparse.Namespace:
+    """What the full parser's parse_args returns, parsed by the subcommand's
+    own parser when argv[0] names one.  Leftover arguments are reported by
+    the full parser, so the error text is the same."""
+    parser, commands = _build_parser()
+    if not (argv and argv[0] in commands):
+        return parser.parse_args(argv)
+    args, rest = commands[argv[0]].parse_known_args(argv[1:],
+                                                    argparse.Namespace(command=argv[0]))
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
+    return args
+
+
 def run(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and not argv[0].startswith("-") and argv[0] not in SUBCOMMANDS:
         sys.stderr.write(f"unknown subcommand: {argv[0]}\n")
         return 64
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     if not args.command:
-        parser.print_help(sys.stderr)
+        _build_parser()[0].print_help(sys.stderr)
         return 2
     try:
         if args.output:

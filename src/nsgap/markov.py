@@ -47,6 +47,11 @@ class SpectralData:
     eigenvectors: np.ndarray = field(repr=False)
 
 
+def _is_stationary(pi: np.ndarray, A: np.ndarray) -> bool:
+    """np.allclose(pi @ A, pi, atol=1e-9) written out for finite pi and A."""
+    return bool((np.abs(pi @ A - pi) <= 1e-9 + 1e-5 * np.abs(pi)).all())
+
+
 def _stationary_vector(A: np.ndarray) -> np.ndarray:
     """Solve pi A = pi, sum(pi) = 1 by a direct least-squares solve.  An edge
     leaving a strongly connected class of the support marks transient states,
@@ -62,7 +67,7 @@ def _stationary_vector(A: np.ndarray) -> np.ndarray:
     rhs = np.zeros(n + 1)
     rhs[-1] = 1.0
     pi, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-    if np.min(pi) > 0 and abs(pi.sum() - 1.0) < 1e-9 and np.allclose(pi @ A, pi, atol=1e-9):
+    if np.min(pi) > 0 and abs(pi.sum() - 1.0) < 1e-9 and _is_stationary(pi, A):
         return pi
     raise NoPositiveStationary("no strictly positive stationary vector (chain reducible?)")
 
@@ -95,7 +100,7 @@ def build_reversible_chain(A, pi=None) -> StochasticChain:
             raise NotStochastic("pi has non-finite entries")
         if abs(pi.sum() - 1.0) > 1e-9:
             raise NoPositiveStationary("pi must sum to 1")
-        if not np.allclose(pi @ A, pi, atol=1e-9):
+        if not _is_stationary(pi, A):
             raise NoPositiveStationary("pi is not stationary for A")
     if np.min(pi) <= STATIONARY_FLOOR:
         raise NoPositiveStationary(

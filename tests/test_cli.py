@@ -359,6 +359,36 @@ def test_cached_parser_keeps_exit_codes_and_outputs(capsys, flip_chain_file,
     assert cli._build_parser() is cli._build_parser()
 
 
+def test_subcommand_parse_equals_the_full_parse(capsys, tmp_path):
+    """A request is parsed by its subcommand's own parser: the namespace, exit
+    code, stdout and stderr equal those of the full parser's parse_args,
+    including the usage line of leftover arguments."""
+    parser, commands = cli._build_parser()
+    assert set(commands) == set(cli.SUBCOMMANDS)
+    out = str(tmp_path / "out.json")
+    good = (["gap", "--chain", "c.json", "--space", "s.json", "--p", "1.5",
+             "--method", "brute", "--output", out],
+            ["gap-plus", "--chain", "c.json", "--space", "s.json"],
+            ["expander", "--n", "16", "--d", "3", "--seed", "4", "--format", "csv"],
+            ["suite"], ["bounds", "--formula", "coarse", "--D", "2"])
+    for argv in good:
+        assert vars(cli._parse(argv)) == vars(parser.parse_args(argv))
+    bad = (["gap", "--chain", "c.json", "--space", "s.json", "extra", "--more"],
+           ["gap", "--chain", "c.json", "--space", "s.json", "--version"],
+           ["gap", "--chain", "c.json", "--p", "x"],
+           ["gap", "--chain", "c.json"],
+           ["bounds", "--formula", "nope"],
+           ["john", "-h"])
+    for argv in bad:
+        with pytest.raises(SystemExit) as full:
+            parser.parse_args(argv)
+        expected = capsys.readouterr()
+        code = cli.run(argv)
+        got = capsys.readouterr()
+        assert (code, got.out, got.err) == (full.value.code, expected.out, expected.err)
+        assert got.out or "error:" in got.err
+
+
 def test_missing_file_exit_2(tmp_path, hilbert_space_file):
     code = cli.run(["gap", "--chain", str(tmp_path / "absent.json"),
                     "--space", hilbert_space_file])

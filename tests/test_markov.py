@@ -76,6 +76,29 @@ def test_transient_states_rejected_before_the_solve(monkeypatch):
             markov.build_reversible_chain(A)
 
 
+def test_stationarity_test_agrees_with_allclose():
+    """The written-out test accepts and rejects exactly what
+    np.allclose(pi @ A, pi, atol=1e-9) does: on stationary vectors moved by
+    steps around the tolerance, and where pi @ A overflows."""
+    rng = np.random.default_rng(4)
+    verdicts = []
+    for trial in range(400):
+        n = int(rng.integers(1, 9))
+        chain = markov.random_reversible_chain(n, rng) if n > 1 else None
+        A = chain.A if chain else np.ones((1, 1))
+        pi = chain.pi.copy() if chain else np.ones(1)
+        scale = 1e-9 + 1e-5 * np.abs(pi)
+        pi = pi + scale * rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0], size=n)
+        expected = bool(np.allclose(pi @ A, pi, atol=1e-9))
+        assert markov._is_stationary(pi, A) == expected, trial
+        verdicts.append(expected)
+    assert 50 < sum(verdicts) < 350
+    pi, A = np.array([1.7e308, 1.7e308]), np.array([[1.0, 0.0], [1.0, 0.0]])
+    with np.errstate(over="ignore"):
+        assert np.isinf(pi @ A).any() and not np.allclose(pi @ A, pi, atol=1e-9)
+        assert not markov._is_stationary(pi, A)
+
+
 def test_nonreversible_is_flagged_not_raised():
     A = np.array([[0.0, 0.7, 0.3], [0.3, 0.0, 0.7], [0.7, 0.3, 0.0]])
     chain = markov.build_reversible_chain(A)

@@ -221,18 +221,35 @@ def test_enumeration_matches_reference_bit_for_bit(monkeypatch, chunk):
     (False, 5, 5, 125), (False, 5, 5, 625), (False, 8, 5, 512), (False, 3, 6, 2**14),
     (True, 3, 4, 4), (True, 3, 4, 2**14), (True, 4, 3, 2**14), (True, 2, 5, 2**14)])
 def test_block_streams_equal_the_reference_sums(monkeypatch, pairs, m, n, chunk):
-    """Every numerator and denominator the scans yield, in row-major order,
-    equals the reference's sum bit for bit: an add taken out of (i, j) order
-    changes some of them even where the winning quotient keeps its value."""
+    """Every numerator and denominator the scans yield equals the reference's
+    sum bit for bit: an add taken out of (i, j) order changes some of them
+    even where the winning quotient keeps its value.  The gap scan yields
+    every block in row-major order.  The pair scan yields, in ascending
+    order, the blocks whose head holds a kept x, each under its head index,
+    and so the whole row-major stream when every x is kept."""
     monkeypatch.setattr(rayleigh, "_ENUM_CHUNK", chunk)
     chain, space = _benchmark_shape(m, n, 80 + m + n)
     num, den, powered, _ = _reference_sums(chain, space, 1.5, pairs)
     w, u = chain.pi[:, None] * chain.A, np.outer(chain.pi, chain.pi)
     tables = np.stack([w, u])[:, :, :, None, None] * powered
-    scan = rayleigh._pair_blocks if pairs else rayleigh._config_blocks
-    blocks = [(a.copy(), b.copy()) for a, b in scan(tables, m, n)]
-    np.testing.assert_array_equal(np.concatenate([a for a, _ in blocks]), num.ravel())
-    np.testing.assert_array_equal(np.concatenate([b for _, b in blocks]), den.ravel())
+    if not pairs:
+        blocks = [(a.copy(), b.copy()) for a, b in rayleigh._config_blocks(tables, m, n)]
+        np.testing.assert_array_equal(np.concatenate([a for a, _ in blocks]), num.ravel())
+        np.testing.assert_array_equal(np.concatenate([b for _, b in blocks]), den.ravel())
+        return
+    rng = np.random.default_rng(m + n + chunk)
+    last = np.arange(m**n) == m**n - 1
+    for keep in (np.ones(m**n, dtype=bool), rng.random(m**n) < 0.2, last, ~last):
+        blocks = [(h, a.copy(), b.copy()) for h, a, b in rayleigh._pair_blocks(tables, m, n, keep)]
+        size = blocks[0][1].size
+        heads = [h for h, _, _ in blocks]
+        assert heads == list(np.flatnonzero(keep.reshape(num.size // size, -1).any(axis=1)))
+        for h, a, b in blocks:
+            np.testing.assert_array_equal(a, num.ravel()[h * size:(h + 1) * size])
+            np.testing.assert_array_equal(b, den.ravel()[h * size:(h + 1) * size])
+        if keep.all():
+            np.testing.assert_array_equal(np.concatenate([a for _, a, _ in blocks]), num.ravel())
+            np.testing.assert_array_equal(np.concatenate([b for _, _, b in blocks]), den.ravel())
 
 
 def _benchmark_shape(m, n, seed):
@@ -441,6 +458,111 @@ def test_pair_scan_matches_chunked_reference_bit_for_bit(monkeypatch, name, chun
     assert est.value == value
     np.testing.assert_array_equal(est.witness[0].points, digits[:chain.n])
     np.testing.assert_array_equal(est.witness[1].points, digits[chain.n:])
+
+
+def _bound_recorder(monkeypatch):
+    """Wrap the pair bound; the list gets (kept heads, heads) per scan."""
+    record, bound = [], rayleigh._pair_bound
+
+    def recorded(tables, m, n, threshold):
+        keep = bound(tables, m, n, threshold)
+        r = max((r for r in range(1, n + 1) if m ** (n + r) <= rayleigh._ENUM_CHUNK),
+                default=1)
+        heads = keep.reshape(m ** (n - r), -1).any(axis=1)
+        record.append((int(heads.sum()), heads.size))
+        return keep
+
+    monkeypatch.setattr(rayleigh, "_pair_bound", recorded)
+    return record
+
+
+def _battery_instance(k, rng):
+    """l_inf clouds, path metrics (exact ties between mirror-image pairs, so
+    across blocks), equilateral and random metrics; random, lazy,
+    near-identity, uniform and identity chains; q in {1, 2, 3.5}."""
+    m = int(rng.integers(2, 6))
+    n = int(rng.integers(2, 5))
+    while m ** (2 * n) > 4**8:
+        n -= 1
+    kind = k % 4
+    if kind == 0:
+        pts = rng.uniform(size=(m, 2))
+        dist = np.max(np.abs(pts[:, None] - pts[None]), axis=2)
+    elif kind == 1:
+        dist = np.abs(np.subtract.outer(np.arange(m), np.arange(m))).astype(float)
+    elif kind == 2:
+        dist = 1.0 - np.eye(m)
+    else:
+        dist = _random_metric(m, rng).dist
+    chain_kind = k % 5
+    if chain_kind == 3:
+        chain = markov.build_reversible_chain(np.full((n, n), 1.0 / n))
+    elif chain_kind == 4 and k % 3 == 0:
+        chain = identity_chain(n)
+    elif chain_kind == 2:
+        near = np.full((n, n), 1e-17) + (1.0 - n * 1e-17) * np.eye(n)
+        chain = markov.build_reversible_chain(near, np.full(n, 1.0 / n))
+    else:
+        chain = markov.random_reversible_chain(n, rng)
+        if chain_kind == 1:
+            chain = markov.lazy_power(chain, 1)
+    chunk = (m ** (n + 1), 4, 64)[(k // 3) % 3]
+    return chain, MetricSpace.finite(dist), (1.0, 2.0, 3.5)[k % 3], chunk
+
+
+def test_pair_scan_matches_chunked_reference_on_a_random_battery(monkeypatch):
+    """300 random instances: the value and both witness halves equal the
+    chunked scan's, which visits every block.  Block limits of m^(n+1), 4
+    and 64 pairs give almost every scan several blocks; the uniform,
+    near-identity and identity chains keep all of them, and about a third
+    of all scans skip some."""
+    record = _bound_recorder(monkeypatch)
+    rng = np.random.default_rng(2025)
+    kinds = set()
+    for k in range(300):
+        chain, space, q, chunk = _battery_instance(k, rng)
+        monkeypatch.setattr(rayleigh, "_ENUM_CHUNK", chunk)
+        value, digits = _chunked_pair_reference(chain, space, q)
+        est = rayleigh.gamma_plus_bruteforce(chain, space, q)
+        assert est.value == value, k
+        np.testing.assert_array_equal(est.witness[0].points, digits[:chain.n])
+        np.testing.assert_array_equal(est.witness[1].points, digits[chain.n:])
+        kinds.add(math.isinf(value))
+    assert kinds == {True, False}
+    assert sum(kept < heads for kept, heads in record) >= 90
+    assert sum(heads > 1 for _, heads in record) >= 250
+
+
+def _near_tie_instance():
+    """A path metric with d(0, 1) raised by 1e-13 relative: its mirror
+    symmetry tied pairs exactly across blocks, and now the best pair beats
+    the best of another block by less than the bound's slack."""
+    dist = np.abs(np.subtract.outer(np.arange(4), np.arange(4))).astype(float)
+    dist[0, 1] = dist[1, 0] = 1.0 + 1e-13
+    chain = markov.random_reversible_chain(3, np.random.default_rng(7))
+    return chain, MetricSpace.finite(dist), 2.0
+
+
+@pytest.mark.parametrize("chunk", [4, 64])
+def test_pair_scan_keeps_a_near_tie_in_another_block(monkeypatch, chunk):
+    """The best block wins by less than 1e-12 relative over another, and
+    the scan skips blocks, yet returns the full scan's value and witness."""
+    monkeypatch.setattr(rayleigh, "_ENUM_CHUNK", chunk)
+    chain, space, q = _near_tie_instance()
+    num, den, _, _ = _reference_sums(chain, space, q, pairs=True)
+    live = den > 0
+    ratio = np.where(live, den / np.where(live, num, 1.0), -np.inf)
+    best_per_block = ratio.reshape(16, -1).max(axis=1)  # one block per x_0, x_1
+    first, second = np.sort(best_per_block)[::-1][:2]
+    assert 0 < first - second < 1e-12 * first
+    record = _bound_recorder(monkeypatch)
+    value, digits = _chunked_pair_reference(chain, space, q)
+    est = rayleigh.gamma_plus_bruteforce(chain, space, q)
+    assert est.value == value
+    np.testing.assert_array_equal(est.witness[0].points, digits[:3])
+    np.testing.assert_array_equal(est.witness[1].points, digits[3:])
+    kept, heads = record[0]
+    assert 2 <= kept < heads
 
 
 def test_gamma_plus_at_the_cap_keeps_memory_bounded():
