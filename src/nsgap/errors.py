@@ -71,6 +71,10 @@ class DegenerateGap(ValidationError):
     pass
 
 
+class PoweredDistanceRange(ValidationError):
+    pass
+
+
 # --- mazur ----------------------------------------------------------------
 
 class NotNormalized(ValidationError):

@@ -30,6 +30,7 @@ from .errors import (
     LengthMismatch,
     MismatchedStationary,
     NotReversibleChain,
+    PoweredDistanceRange,
     UnsupportedSpace,
     ValidationError,
 )
@@ -125,7 +126,7 @@ def gamma_hilbert_exact(chain: StochasticChain) -> GapEstimate:
 
 # --- exhaustive enumeration over finite metrics -----------------------------
 
-_ENUM_CHUNK = 2**14  # configurations per block; a pair block holds >= m^(n+1)
+_ENUM_CHUNK = 2**14  # configurations per gap block; sums per x-chunk of the pair bound
 # values per contiguous run of a materialized term: m^t is 125 to 343 for
 # m = 3..7 (adds over runs below 100 ran up to 2x slower) and 64 at m = 8,
 # where runs of 512 held the gap scan's operands above 1 MB
@@ -138,13 +139,6 @@ def _run_digits(m, n):
     """The t trailing digits a term touching them is materialized over: the
     most with m^t <= _MAX_RUN, so each of its adds runs over m^t values."""
     return max(t for t in range(1, n + 1) if m**t <= _MAX_RUN)
-
-
-def _broadcast_copy(v, shape):
-    """v broadcast to shape, as a new array (faster than np.broadcast_to().copy())."""
-    out = np.empty(shape)
-    out[...] = v
-    return out
 
 
 def _config_blocks(tables, m, n):
@@ -179,25 +173,23 @@ def _config_blocks(tables, m, n):
         yield block[0].ravel(), block[1].ravel()
 
 
-def _pair_bound(tables, m, n, threshold):
-    """Which x can start a pair that the full scan's result depends on, as
-    one bool per x in row-major order.
+def _pair_bound(tables, m, n):
+    """The x that can start a pair the full scan's result depends on, as
+    their row-major indices in ascending order.
 
     For a fixed x both sums are separable in y: num = sum_j beta_j(y_j) and
     den = sum_j alpha_j(y_j), with beta_j(b) = sum_i w_ij P[x_i, b] and
     alpha_j(b) likewise from u.  So F_x(lam) = sum_j max_b (alpha_j -
-    lam beta_j) <= 0 proves that no pair starting at x has a quotient above
-    lam (Dinkelbach's parametric test); it is 0 at the pairs whose sums are
-    both 0.  lam starts at the best pair of two constant configurations and
-    rises by Dinkelbach steps (y_x the per-digit arg-max, lam the largest
-    quotient reached), so it is always attained.  x is skipped once
-    F_x(lam (1 - _BOUND_SLACK)) <= 0 (not when F is NaN, as an overflowed
-    distance can make it), unless some y might give it a numerator at most
-    the zero threshold and a positive denominator.  The slack covers the
-    rounding of these sums and of the scan's (a few n^2 ulps each, n <= 6)
-    with a wide margin, so every pair whose scanned quotient reaches the
-    scan's best lies at a kept x.  Numerators within reach of underflow
-    count as zero here, since they lose that precision.
+    lam beta_j) <= 0 proves that no pair starting at x has a ratio den/num
+    above lam (Dinkelbach's parametric test).  lam starts at the best pair of
+    two constant configurations and rises by Dinkelbach steps (y_x the
+    per-digit arg-max, lam the largest ratio reached), so it is always
+    attained.  It stops at 1/ZERO_QUOTIENT, so every x holding a zero
+    quotient (a ratio above that) is kept.  x is skipped once
+    F_x(lam (1 - _BOUND_SLACK)) <= 0.  The slack covers the rounding of these
+    sums and of the scan's (a few n^2 ulps each, n <= 6) with a wide margin,
+    so every pair whose scanned ratio reaches the scan's best, or counts as
+    zero, lies at a kept x.
 
     Sums are laid out (b, j, x) and the x taken in chunks of m^(n - c)
     under c leading digits, at most 2 _ENUM_CHUNK values a chunk: the suffix
@@ -210,9 +202,9 @@ def _pair_bound(tables, m, n, threshold):
     suffix = np.zeros((rows, 1))
     for i in range(n - 1, c - 1, -1):  # x_i before the digits after it
         suffix = (moved[i, :, :, None] + suffix[:, None]).reshape(rows, -1)
-    reach = max(threshold, 2.0**-1000) * (1.0 + _BOUND_SLACK)
+    cap = 1.0 / ZERO_QUOTIENT
     ends = tables.sum(axis=(1, 2))
-    lam = float(np.max(ends[1] / ends[0], where=ends[0] > reach, initial=0.0))
+    lam = min(float(np.max(ends[1] / ends[0], where=ends[1] > 0, initial=0.0)), cap)
 
     def prune(x, sums, lam):
         """Dinkelbach steps from lam over the x whose sums are the columns
@@ -226,76 +218,54 @@ def _pair_bound(tables, m, n, threshold):
             F = top.sum(axis=0)
             # y_j: of the b with the largest gain, the one with the least beta
             num = np.min(beta, axis=0, where=gain == top, initial=np.inf).sum(axis=0)
-            best = float(np.max((F + lam_ * num) / num, where=num > reach, initial=lam))
-            kept = ~(F <= 0)
+            best = min(float(np.max((F + lam_ * num) / num, where=F > 0, initial=lam)), cap)
+            kept = F > 0
             x, sums = x.compress(kept), sums.compress(kept, axis=-1)
             if not best > lam:
                 return x, sums, lam
             lam = best
 
-    parts, zero = [], []
+    parts = []
     for h, head in enumerate(np.ndindex((m,) * c)):
         sums = sum((moved[i, :, d, None] for i, d in enumerate(head)), suffix)
-        beta, alpha = sums.reshape(2, m, n, -1)
-        low = np.flatnonzero(np.fmin.reduce(beta, axis=0).sum(axis=0) <= reach)
-        low = low[((beta[..., low] <= reach) & (alpha[..., low] > 0)).any(axis=(0, 1))]
-        zero.append(h * sums.shape[-1] + low)
         x, sums, lam = prune(h * sums.shape[-1] + np.arange(sums.shape[-1]), sums, lam)
         parts.append((x, sums))
     x, sums = (np.concatenate(a, axis=-1) for a in zip(*parts))
     if len(parts) > 1:  # the earlier chunks were pruned at a lower lam
         x, sums, lam = prune(x, sums, lam)
-    keep = np.zeros(m**n, dtype=bool)
-    keep[x] = True
-    keep[np.concatenate(zero)] = True
-    return keep
+    return x
 
 
-def _pair_blocks(tables, m, n, keep):
-    """Blocks of pairs: the last r >= 1 digits of x times all of y, yielded
-    as (head index, num, den) for the heads holding a kept x, in ascending
-    order.  After row i the row-major sum over (i, j) depends only on
-    x_0..x_i and y, so level i holds it for each x_i (and leaf digit of x
-    before it) and each y.  Level i depends on head digits 0..i-1, so a new
-    head whose first changed digit is k redoes levels k+1.. .  Term (i, j)
-    is w_ij P on the axes of x_i and y_j, added in runs of m^t."""
-    r = max((r for r in range(1, n + 1) if m ** (n + r) <= _ENUM_CHUNK), default=1)
-    H, t = n - r, _run_digits(m, n)
-    heads = np.flatnonzero(keep.reshape(m**H, -1).any(axis=1))
-    del keep  # not held through the scan
-    terms = [[tables[:, i, j].reshape((2, 1, m) + (1,) * j + (m,) + (1,) * (n - 1 - j))
+def _pair_blocks(tables, m, n, xs):
+    """One block per x of xs, in their order, yielded as (x, num, den) over
+    all m^n values of y in row-major order.  Term (i, j) is the rows
+    w_ij P[x_i, :] and u_ij P[x_i, :] on the axis of y_j, added onto a zeroed
+    block in (i, j) order, so each sum is that of a plain row-major scan."""
+    terms = [[tables[:, i, j].reshape((2, m) + (1,) * j + (m,) + (1,) * (n - 1 - j))
               for j in range(n)] for i in range(n)]
-    for row in terms:
-        row[n - t:] = [_broadcast_copy(v, (2, 1, m) + (1,) * (n - t) + (m,) * t)
-                       for v in row[n - t:]]
-    level = [np.zeros((2, m ** max(i - H, 0), m) + (m,) * n) for i in range(n)]
-    for term in terms[0]:
-        level[0] += term
-    last = (-1,) * H
-    for h in heads:
-        head = np.unravel_index(h, (m,) * H)
-        for i in range(1 + next((k for k in range(H) if head[k] != last[k]), 0), n):
-            level[i][...] = (level[i - 1][:, :, head[i - 1], None] if i <= H else
-                             level[i - 1].reshape((2, -1, 1) + (m,) * n))
-            for term in terms[i]:
-                level[i] += term
-        last = head
-        yield int(h), level[-1][0].ravel(), level[-1][1].ravel()
+    block = np.empty((2,) + (m,) * n)
+    for x in xs:
+        block[...] = 0.0
+        for row, a in zip(terms, np.unravel_index(x, (m,) * n)):
+            for term in row:
+                block += term[:, a]
+        yield int(x), block[0].ravel(), block[1].ravel()
 
 
 def _enumerate(chain: StochasticChain, space: MetricSpace, p: float, pairs: bool):
     """Largest den/num over [m]^N in row-major order, and the digits of its
-    first configuration (inf at the first live one with a zero numerator).
-    N = n for the gap; N = 2n for the absolute gap, whose pair (x, y) is one
-    configuration where digit i of x meets digit n + j of y.  Both scans
-    yield row-major (num, den) blocks of O(n _ENUM_CHUNK) memory, under
-    their block index, from one table of the terms w_ij P[a, b] and
-    u_ij P[a, b]; the absolute gap's skips the blocks that `_pair_bound`
-    proves cannot hold its first maximiser or zero.  A block takes three
-    passes (min, divide, arg-max) unless some numerator is at most the zero
-    threshold; only those few (the constant configurations, at least) get the
-    zero test and -inf.  A best ratio that is not > 0 reruns the block under
-    the live-mask test, so value and witness are those of that test alone."""
+    first configuration; inf at the first one whose quotient num/den is below
+    ZERO_QUOTIENT, the rule `gamma_heuristic` reports by.  N = n for the gap;
+    N = 2n for the absolute gap, whose pair (x, y) is one configuration where
+    digit i of x meets digit n + j of y.  Both scans yield row-major (num,
+    den) blocks under their block index, from one table of the terms
+    w_ij P[a, b] and u_ij P[a, b]; the absolute gap's has one block per x and
+    skips the x that `_pair_bound` proves cannot hold its first maximiser or
+    zero.  A block takes two passes (divide, arg-max); only a best ratio that
+    is NaN (a constant configuration, 0/0) or above 1/ZERO_QUOTIENT sends it
+    to the slow path, which sets the NaNs to -inf and looks for a zero.
+    Powered distances that overflow, or that underflow alone or times a
+    weight, are refused: they would read as inf, or as zero quotients."""
     _check_p(p)
     if space.kind != "finite":
         raise UnsupportedSpace("enumeration requires a finite metric")
@@ -304,30 +274,34 @@ def _enumerate(chain: StochasticChain, space: MetricSpace, p: float, pairs: bool
     m, n, N = space.n_points, chain.n, chain.n * (2 if pairs else 1)
     if m > 8 or n > 6 or m**N > ENUM_CAP:
         raise InstanceTooLarge(f"enumeration size {m}^{N} exceeds the cap")
-    powered = (space.dist**space.theta) ** p
     w, u = chain.pi[:, None] * chain.A, np.outer(chain.pi, chain.pi)
-    tables = np.stack([w, u])[:, :, :, None, None] * powered
-    threshold = ZERO_QUOTIENT * max(float(np.max(powered)), 1e-300)
+    try:
+        with np.errstate(over="raise", under="raise"):
+            powered = (space.dist**space.theta) ** p
+            tables = np.stack([w, u])[:, :, :, None, None] * powered
+    except FloatingPointError as exc:
+        low = np.finfo(float).tiny / min(np.min(w, where=w > 0, initial=np.inf), np.min(u))
+        raise PoweredDistanceRange(
+            f"distances to the power theta p = {space.theta * p:g} are out of range ({exc}): "
+            f"positive ones must lie in [{low:.4g}, {np.finfo(float).max:.4g}], from the "
+            "smallest normal double over the least weight pi_i a_ij or pi_i pi_j") from exc
+    cap = 1.0 / ZERO_QUOTIENT
     best, best_k, ratio = -np.inf, -1, None
     with np.errstate(divide="ignore", invalid="ignore"):
         if pairs:
-            blocks = _pair_blocks(tables, m, n, _pair_bound(tables, m, n, threshold))
+            blocks = _pair_blocks(tables, m, n, _pair_bound(tables, m, n))
         else:
             blocks = ((h, *block) for h, block in enumerate(_config_blocks(tables, m, n)))
         for h, num, den in blocks:
             start = h * num.size
-            low = np.flatnonzero(num <= threshold) if num.min() <= threshold else ()
             ratio = np.divide(den, num, out=ratio)  # the last block's buffer
-            if len(low):  # the constant configurations, and any zero numerator
-                zero = low[den[low] > 0]
+            k = int(np.argmax(ratio))
+            if not ratio[k] <= cap:  # a constant configuration, or a zero quotient
+                ratio[np.isnan(ratio)] = -np.inf
+                zero = np.flatnonzero(ratio > cap)
                 if zero.size:
                     best, best_k = float("inf"), start + int(zero[0])
                     break
-                ratio[low] = -np.inf
-            k = int(np.argmax(ratio))
-            if not ratio[k] > 0:  # a NaN, or no live configuration: the exact test
-                live = den > 0
-                ratio = np.where(live, den / np.where(live, num, 1.0), -np.inf)
                 k = int(np.argmax(ratio))
             if ratio[k] > best:
                 best, best_k = float(ratio[k]), start + k

@@ -219,6 +219,7 @@ def _validate_finite_metric(dist, positive: bool = False) -> np.ndarray:
         raise NotAMetric("distance matrix must be symmetric")
     if np.min(d) < 0:
         raise NotAMetric("distances must be nonnegative")
+    d = d * (1.0 - np.eye(n))  # exactly 0, so constant configurations stay constant
     if positive and np.min(d + np.eye(n)) <= 0:
         raise NotAMetric("off-diagonal distances must be positive")
     # d_ik <= min_j d_ij + d_jk by broadcasting, in row blocks of about 2^20

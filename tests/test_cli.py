@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -492,6 +493,37 @@ def test_one_point_metric_exit_2(tmp_path, flip_chain_file, capsys, argv):
     assert code == 2
     assert not out.exists()
     assert "constant" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale, values", [
+    (1e40, None), (1e-40, None),
+    (1e38, (1.224279231807134, 2.9355477908472376)),
+    (1e-38, (1.224279231807134, 2.9355477908472385))])
+def test_powered_distance_range_through_the_cli(tmp_path, capsys, scale, values):
+    """At p = 8 a path metric scaled by 1e40 overflows and one scaled by
+    1e-40 underflows: both gap scans exit 2 with one line on stderr and no
+    warning.  At 1e38 and 1e-38 they report the values they always did."""
+    chain = tmp_path / "chain.json"
+    rng = np.random.default_rng(3)
+    chain.write_text(json.dumps(markov.chain_to_json(markov.random_reversible_chain(3, rng))))
+    dist = np.abs(np.subtract.outer(np.arange(4), np.arange(4))).astype(float)
+    dist[0, 1] = dist[1, 0] = 1.3
+    space = tmp_path / "path.json"
+    space.write_text(json.dumps({"kind": "finite", "dist": (dist * scale).tolist()}))
+    runs = (["gap", "--method", "brute", "--p", "8"], ["gap-plus", "--q", "8"])
+    for k, argv in enumerate(runs):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_to_file(tmp_path, argv + ["--chain", str(chain), "--space", str(space)],
+                                    name=f"out{k}.json")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        if values is None:
+            assert code == 2 and not out.exists()
+            assert err.startswith("invalid input: ") and err.count("\n") == 1
+        else:
+            assert code == 0 and err == ""
+            assert json.loads(out.read_text())["report"]["value"] == values[k]
 
 
 @pytest.mark.parametrize("argv", [

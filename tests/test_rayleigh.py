@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from nsgap.errors import (
     InstanceTooLarge,
     LengthMismatch,
     MismatchedStationary,
+    PoweredDistanceRange,
     UnsupportedSpace,
     ValidationError,
 )
@@ -156,13 +158,13 @@ def _reference_sums(chain, space, p, pairs):
 
 def _reference_enumeration(chain, space, p, pairs):
     """The two enumerations before they shared one kernel: the reference
-    sums, the zero-quotient test and a first-index arg-max.  Returns the
-    value (-inf when every configuration is constant) and the witness digits."""
+    sums, the zero-quotient test (a quotient num/den below ZERO_QUOTIENT, as
+    the heuristic reports it) and a first-index arg-max.  Returns the value
+    (-inf when every configuration is constant) and the witness digits."""
     num, den, powered, configs = _reference_sums(chain, space, p, pairs)
     shape = num.shape
     live = den > 0
-    scale = max(float(np.max(powered)), 1e-300)
-    zero_num = live & (num <= rayleigh.ZERO_QUOTIENT * scale)
+    zero_num = live & (num < rayleigh.ZERO_QUOTIENT * den)
     if np.any(zero_num):
         value, k = float("inf"), int(np.argmax(zero_num))
     else:
@@ -224,9 +226,9 @@ def test_block_streams_equal_the_reference_sums(monkeypatch, pairs, m, n, chunk)
     """Every numerator and denominator the scans yield equals the reference's
     sum bit for bit: an add taken out of (i, j) order changes some of them
     even where the winning quotient keeps its value.  The gap scan yields
-    every block in row-major order.  The pair scan yields, in ascending
-    order, the blocks whose head holds a kept x, each under its head index,
-    and so the whole row-major stream when every x is kept."""
+    every block in row-major order.  The pair scan yields one block per
+    kept x, in ascending order and under its x, and so the whole row-major
+    stream when every x is kept."""
     monkeypatch.setattr(rayleigh, "_ENUM_CHUNK", chunk)
     chain, space = _benchmark_shape(m, n, 80 + m + n)
     num, den, powered, _ = _reference_sums(chain, space, 1.5, pairs)
@@ -240,13 +242,13 @@ def test_block_streams_equal_the_reference_sums(monkeypatch, pairs, m, n, chunk)
     rng = np.random.default_rng(m + n + chunk)
     last = np.arange(m**n) == m**n - 1
     for keep in (np.ones(m**n, dtype=bool), rng.random(m**n) < 0.2, last, ~last):
-        blocks = [(h, a.copy(), b.copy()) for h, a, b in rayleigh._pair_blocks(tables, m, n, keep)]
-        size = blocks[0][1].size
-        heads = [h for h, _, _ in blocks]
-        assert heads == list(np.flatnonzero(keep.reshape(num.size // size, -1).any(axis=1)))
-        for h, a, b in blocks:
-            np.testing.assert_array_equal(a, num.ravel()[h * size:(h + 1) * size])
-            np.testing.assert_array_equal(b, den.ravel()[h * size:(h + 1) * size])
+        xs = np.flatnonzero(keep)
+        blocks = [(x, a.copy(), b.copy()) for x, a, b in rayleigh._pair_blocks(tables, m, n, xs)]
+        size = m**n
+        assert [x for x, _, _ in blocks] == list(xs)
+        for x, a, b in blocks:
+            np.testing.assert_array_equal(a, num.ravel()[x * size:(x + 1) * size])
+            np.testing.assert_array_equal(b, den.ravel()[x * size:(x + 1) * size])
         if keep.all():
             np.testing.assert_array_equal(np.concatenate([a for _, a, _ in blocks]), num.ravel())
             np.testing.assert_array_equal(np.concatenate([b for _, _, b in blocks]), den.ravel())
@@ -359,14 +361,79 @@ def test_degenerate_enumeration_raises():
     assert rayleigh.gamma_plus_bruteforce(single_state, two_point_metric(), 1.0).value == 1.0
 
 
+def _clustered_metric(eps):
+    """Points 0 and 1 eps apart, both at distance 1 from point 2."""
+    return MetricSpace.finite(np.array([[0.0, eps, 1.0], [eps, 0.0, 1.0], [1.0, 1.0, 0.0]]))
+
+
+def test_clustered_points_keep_the_two_point_gaps():
+    """At p = 2 the distances of points 0 and 1, 2^-24 apart, square to
+    2^-48, which scales both sums exactly: a configuration on those two
+    points has the quotient of the two-point metric, bit for bit, far above
+    ZERO_QUOTIENT.  A zero rule relative to the largest distance counted it
+    as zero and reported inf."""
+    chain = markov.random_reversible_chain(3, np.random.default_rng(3))
+    clustered = _clustered_metric(2.0**-24)
+    for f, value in ((rayleigh.gamma_bruteforce, 0.9685916092784254),
+                     (rayleigh.gamma_plus_bruteforce, 1.3068135771382294)):
+        assert f(chain, two_point_metric(), 2.0).value == value
+        est = f(chain, clustered, 2.0)
+        assert est.value == value
+        witness = est.witness if isinstance(est.witness, tuple) else (est.witness,)
+        assert all(set(c.points.tolist()) == {0, 1} for c in witness)
+
+
+def test_a_diagonal_within_the_tolerance_reads_as_zero():
+    """The validator accepts diagonal entries up to 1e-12 and stores them as
+    0, so constant configurations stay 0/0: with the diagonal kept the flip
+    chain's gap read 1.0 (a constant configuration's quotient), and under a
+    zero rule relative to the largest distance inf, instead of 0.5."""
+    space = MetricSpace.finite(np.array([[1e-13, 1.0], [1.0, 1e-13]]))
+    assert space.dist.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    for f in (rayleigh.gamma_bruteforce, rayleigh.gamma_plus_bruteforce):
+        assert f(flip_chain(), space, 2.0).value == f(flip_chain(), two_point_metric(), 2.0).value
+    assert rayleigh.gamma_bruteforce(flip_chain(), space, 2.0).value == 0.5
+
+
+def _scaled_path(scale):
+    dist = np.abs(np.subtract.outer(np.arange(4), np.arange(4))).astype(float)
+    dist[0, 1] = dist[1, 0] = 1.3
+    return MetricSpace.finite(dist * scale)
+
+
+@pytest.mark.parametrize("scale", [1e40, 1e-40, 1e-50])
+def test_powered_distances_out_of_range_are_refused(scale):
+    """At p = 8 distances near 1e40 overflow, distances near 1e-40 fall below
+    the normal doubles and distances near 1e-50 underflow to zero: both
+    scans refuse them, without a warning."""
+    chain = markov.random_reversible_chain(3, np.random.default_rng(3))
+    for f in (rayleigh.gamma_bruteforce, rayleigh.gamma_plus_bruteforce):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PoweredDistanceRange, match="theta p = 8 are out of range"):
+                f(chain, _scaled_path(scale), 8.0)
+
+
+@pytest.mark.parametrize("scale, plus", [(1e38, 2.9355477908472376), (1e-38, 2.9355477908472385)])
+def test_powered_distances_at_the_range_edges_keep_their_values(scale, plus):
+    """The same instance at 1e38 and 1e-38 is scanned as before the check."""
+    chain = markov.random_reversible_chain(3, np.random.default_rng(3))
+    est = rayleigh.gamma_bruteforce(chain, _scaled_path(scale), 8.0)
+    assert est.value == 1.224279231807134
+    assert est.witness.points.tolist() == [2, 1, 3]
+    est = rayleigh.gamma_plus_bruteforce(chain, _scaled_path(scale), 8.0)
+    assert est.value == plus
+    assert [c.points.tolist() for c in est.witness] == [[0, 2, 2], [3, 1, 1]]
+
+
 def _chunked_pair_reference(chain, space, p, chunk=2**14):
-    """The absolute-gap scan before it shared partial sums between pairs:
-    blocks of at most `chunk` pairs in row-major (x, y) order, each summing
-    the n^2 gathered terms w_ij P[x_i, y_j] in row-major (i, j) order."""
+    """The absolute-gap scan without its bound: blocks of at most `chunk`
+    pairs in row-major (x, y) order, each summing the n^2 gathered terms
+    w_ij P[x_i, y_j] in row-major (i, j) order, with the zero-quotient test
+    of `_reference_enumeration`."""
     m, n = space.n_points, chain.n
     powered = (space.dist**space.theta) ** p
     w, u = chain.pi[:, None] * chain.A, np.outer(chain.pi, chain.pi)
-    threshold = rayleigh.ZERO_QUOTIENT * max(float(np.max(powered)), 1e-300)
     L = max(L for L in range(2 * n + 1) if m**L <= chunk)
     size = m**L
     cfg = np.empty((2 * n, size), dtype=np.intp)
@@ -381,7 +448,7 @@ def _chunked_pair_reference(chain, space, p, chunk=2**14):
                 num += vals * w[i, j]
                 den += vals * u[i, j]
         live = den > 0
-        zero = live & (num <= threshold)
+        zero = live & (num < rayleigh.ZERO_QUOTIENT * den)
         if zero.any():
             best, best_k = float("inf"), h * size + int(np.argmax(zero))
             break
@@ -401,6 +468,15 @@ def _random_metric(m, rng):
 
 def _path_metric(m):
     return MetricSpace.finite(np.abs(np.subtract.outer(np.arange(m), np.arange(m))) * 1.0)
+
+
+def _uneven_near_identity():
+    """Symmetric and near the identity, with a_02 = a_12 = 1e-15 and
+    a_01 = 1e-20: a pair x = y with x_2 alone has a quotient near 3e-15,
+    and one with x_0 or x_1 alone near 1.5e-15."""
+    A = np.array([[0.0, 1e-20, 1e-15], [1e-20, 0.0, 1e-15], [1e-15, 1e-15, 0.0]])
+    A += np.diag(1.0 - A.sum(axis=1))
+    return markov.build_reversible_chain(A, np.full(3, 1.0 / 3.0))
 
 
 def _pair_instances():
@@ -424,6 +500,9 @@ def _pair_instances():
         "bench_m4_n4": (markov.random_reversible_chain(4, rng), _random_metric(4, rng), 2.0),
         "bench_m4_n5": (markov.random_reversible_chain(5, rng), _random_metric(4, rng), 2.0),
         "bench_m3_n6": (markov.random_reversible_chain(6, rng), _random_metric(3, rng), 2.0),
+        # zero quotients of two sizes: the first, at x = y = (0, 0, 1), has half
+        # the ratio den/num of later ones, so only the bound's cap keeps its x
+        "near_identity_uneven_m2_n3": (_uneven_near_identity(), _path_metric(2), 2.0),
     }
 
 
@@ -442,8 +521,9 @@ def _pair_reference(name):
 @pytest.mark.parametrize("chunk", [4, 64, 2**14])
 @pytest.mark.parametrize("name", sorted(_PAIR_INSTANCES))
 def test_pair_scan_matches_chunked_reference_bit_for_bit(monkeypatch, name, chunk):
-    """The prefix-sharing absolute-gap scan reproduces the value and both
-    witness halves of the chunked scan exactly, whatever the block limit."""
+    """The bounded absolute-gap scan, one block per kept x, reproduces the
+    value and both witness halves of the chunked scan exactly, whatever the
+    chunking of the bound."""
     chain, space, p = _PAIR_INSTANCES[name]
     expected = _pair_reference(name)
     monkeypatch.setattr(rayleigh, "_ENUM_CHUNK", chunk)
@@ -461,16 +541,13 @@ def test_pair_scan_matches_chunked_reference_bit_for_bit(monkeypatch, name, chun
 
 
 def _bound_recorder(monkeypatch):
-    """Wrap the pair bound; the list gets (kept heads, heads) per scan."""
+    """Wrap the pair bound; the list gets (kept x, m^n) per scan."""
     record, bound = [], rayleigh._pair_bound
 
-    def recorded(tables, m, n, threshold):
-        keep = bound(tables, m, n, threshold)
-        r = max((r for r in range(1, n + 1) if m ** (n + r) <= rayleigh._ENUM_CHUNK),
-                default=1)
-        heads = keep.reshape(m ** (n - r), -1).any(axis=1)
-        record.append((int(heads.sum()), heads.size))
-        return keep
+    def recorded(tables, m, n):
+        xs = bound(tables, m, n)
+        record.append((len(xs), m**n))
+        return xs
 
     monkeypatch.setattr(rayleigh, "_pair_bound", recorded)
     return record
@@ -512,10 +589,10 @@ def _battery_instance(k, rng):
 
 def test_pair_scan_matches_chunked_reference_on_a_random_battery(monkeypatch):
     """300 random instances: the value and both witness halves equal the
-    chunked scan's, which visits every block.  Block limits of m^(n+1), 4
-    and 64 pairs give almost every scan several blocks; the uniform,
-    near-identity and identity chains keep all of them, and about a third
-    of all scans skip some."""
+    chunked scan's, which visits every pair.  Chunk limits of m^(n+1), 4 and
+    64 split the bound's x into chunks; the uniform, near-identity and
+    identity chains keep every x, about a third of all scans skip some, and
+    almost all keep two or more, so their result crosses blocks."""
     record = _bound_recorder(monkeypatch)
     rng = np.random.default_rng(2025)
     kinds = set()
@@ -529,14 +606,14 @@ def test_pair_scan_matches_chunked_reference_on_a_random_battery(monkeypatch):
         np.testing.assert_array_equal(est.witness[1].points, digits[chain.n:])
         kinds.add(math.isinf(value))
     assert kinds == {True, False}
-    assert sum(kept < heads for kept, heads in record) >= 90
-    assert sum(heads > 1 for _, heads in record) >= 250
+    assert sum(kept < xs for kept, xs in record) >= 90
+    assert sum(kept >= 2 for kept, _ in record) >= 250
 
 
 def _near_tie_instance():
     """A path metric with d(0, 1) raised by 1e-13 relative: its mirror
-    symmetry tied pairs exactly across blocks, and now the best pair beats
-    the best of another block by less than the bound's slack."""
+    symmetry tied pairs exactly across x, and now the best pair beats the
+    best at another x by less than the bound's slack."""
     dist = np.abs(np.subtract.outer(np.arange(4), np.arange(4))).astype(float)
     dist[0, 1] = dist[1, 0] = 1.0 + 1e-13
     chain = markov.random_reversible_chain(3, np.random.default_rng(7))
@@ -545,15 +622,15 @@ def _near_tie_instance():
 
 @pytest.mark.parametrize("chunk", [4, 64])
 def test_pair_scan_keeps_a_near_tie_in_another_block(monkeypatch, chunk):
-    """The best block wins by less than 1e-12 relative over another, and
-    the scan skips blocks, yet returns the full scan's value and witness."""
+    """The best x wins by less than 1e-12 relative over another, and the
+    scan skips some x, yet returns the full scan's value and witness."""
     monkeypatch.setattr(rayleigh, "_ENUM_CHUNK", chunk)
     chain, space, q = _near_tie_instance()
     num, den, _, _ = _reference_sums(chain, space, q, pairs=True)
     live = den > 0
     ratio = np.where(live, den / np.where(live, num, 1.0), -np.inf)
-    best_per_block = ratio.reshape(16, -1).max(axis=1)  # one block per x_0, x_1
-    first, second = np.sort(best_per_block)[::-1][:2]
+    best_per_x = ratio.reshape(64, -1).max(axis=1)
+    first, second = np.sort(best_per_x)[::-1][:2]
     assert 0 < first - second < 1e-12 * first
     record = _bound_recorder(monkeypatch)
     value, digits = _chunked_pair_reference(chain, space, q)
@@ -561,8 +638,23 @@ def test_pair_scan_keeps_a_near_tie_in_another_block(monkeypatch, chunk):
     assert est.value == value
     np.testing.assert_array_equal(est.witness[0].points, digits[:3])
     np.testing.assert_array_equal(est.witness[1].points, digits[3:])
-    kept, heads = record[0]
-    assert 2 <= kept < heads
+    kept, xs = record[0]
+    assert 2 <= kept < xs
+
+
+def test_pair_scan_keeps_every_x_on_a_uniform_chain(monkeypatch):
+    """On the uniform chain A = 11^T/n every nonconstant pair ties at ratio
+    1, so the bound keeps all m^n x and the scan makes one block per x; value
+    and witness are still the chunked scan's."""
+    chain = markov.build_reversible_chain(np.full((5, 5), 0.2))
+    space = _random_metric(4, np.random.default_rng(41))
+    record = _bound_recorder(monkeypatch)
+    value, digits = _chunked_pair_reference(chain, space, 2.0)
+    est = rayleigh.gamma_plus_bruteforce(chain, space, 2.0)
+    assert record == [(4**5, 4**5)]
+    assert est.value == value and abs(value - 1.0) < 1e-12
+    np.testing.assert_array_equal(est.witness[0].points, digits[:5])
+    np.testing.assert_array_equal(est.witness[1].points, digits[5:])
 
 
 def test_gamma_plus_at_the_cap_keeps_memory_bounded():
@@ -582,8 +674,9 @@ def test_gamma_plus_at_the_cap_keeps_memory_bounded():
 
 
 def test_gamma_plus_at_the_cap_traced_peak_under_4mb():
-    """The prefix-sharing scan holds one level per digit of x; the chunked
-    scan before it peaked at 2.8 MB on this instance."""
+    """The scan holds one block of all m^n y for one x; the chunked scan
+    peaked at 2.8 MB on this instance, and one level of partial sums per
+    digit of x at 1.5 MB."""
     rng = np.random.default_rng(13)
     chain = markov.random_reversible_chain(5, rng)
     dist = rng.uniform(1.0, 2.0, size=(5, 5))
